@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Outcome of evaluating a hypothesis on a graph (full G or sampled S).
   *
   * `estimate` is the aggregated value (None when no relevant path carries a
@@ -16,7 +14,7 @@ final case class EvalResult(
     values: Array[Double])
 
 /** Driver-side hypothesis evaluator: enumerates relevant path instances by
-  * typed DFS over the [[LocalGraph]] CSR and aggregates `f_P`.
+  * typed DFS and aggregates `f_P`.
   *
   * Semantics (verified equal to [[SparkEvaluator]] in tests):
   *  - a path instance binds one node per position; node i must satisfy M_i;
@@ -25,86 +23,28 @@ final case class EvalResult(
   *    path author→paper→author never degenerates to the same author twice;
   *  - paths whose target attribute is absent/non-numeric are counted as
   *    relevant but contribute no value.
+  *
+  * Cost: on G the DFS walks the graph's own CSR, O(|E| + paths). On S it
+  * walks S's induced sub-CSR, O(Σ deg v over the v ∈ S that satisfy some
+  * M_p with p < l, + paths), whatever |V| is. Either way start nodes come in
+  * increasing index order and half-edges in CSR order, so `values` comes out
+  * in the same order.
   */
 object LocalEvaluator {
 
   /** All f values over relevant path instances, plus the instance count. */
   def extract(g: LocalGraph, h: Hypothesis, sample: Option[SampledGraph] = None): (Array[Double], Long) = {
-    val path = h.path
-    val l = path.length
-    val lab = g.labels(path)
-    val stepType = path.steps.map(s => g.etypes.indexOf(s.etype)).toArray
+    val stepType = h.path.steps.map(s => g.etypes.indexOf(s.etype)).toArray
     // An edge type absent from the graph ⇒ zero relevant paths.
-    if (stepType.exists(_ < 0)) return (Array.empty, 0L)
-
-    val nodeOk: Int => Boolean = sample match {
-      case Some(s) => i => s.contains(i)
-      case None    => _ => true
-    }
-    val edgeOk: Int => Boolean = sample.flatMap(_.edgeIdx) match {
-      case Some(es) =>
-        val b = new java.util.BitSet(); es.foreach(b.set); e => b.get(e)
-      case None => _ => true
-    }
-
-    val values = new ArrayBuffer[Double]()
-    var nPaths = 0L
-    val chainNodes = new Array[Int](l + 1)
-    val chainEdges = new Array[Int](math.max(l, 1))
-
-    def fValue(): Option[Double] = h.target match {
-      case NodeAttrTarget(p, attr) => g.nodeAttrs(chainNodes(p)).get(attr).flatMap(Attr.num)
-      case EdgeAttrTarget(s, attr) => g.edgeAttrs(chainEdges(s)).get(attr).flatMap(Attr.num)
-      case UnitTarget              => Some(1.0)
-    }
-
-    def dfs(pos: Int): Unit = {
-      if (pos == l) {
-        nPaths += 1
-        fValue().foreach(values += _)
-      } else {
-        val v = chainNodes(pos)
-        val step = path.steps(pos)
-        val et = stepType(pos)
-        var half = g.adjOff(v)
-        val end = g.adjOff(v + 1)
-        while (half < end) {
-          if (g.halfEdgeMatches(half, step, et)) {
-            val u = g.adjNbr(half)
-            val e = g.adjEdge(half)
-            if (lab(pos + 1)(u) && nodeOk(u) && edgeOk(e)) {
-              var dup = false
-              var k = 0
-              while (k <= pos && !dup) { if (chainNodes(k) == u) dup = true; k += 1 }
-              if (!dup) {
-                chainNodes(pos + 1) = u
-                chainEdges(pos) = e
-                dfs(pos + 1)
-              }
-            }
-          }
-          half += 1
-        }
-      }
-    }
-
-    var i = 0
-    while (i < g.numNodes) {
-      if (lab(0)(i) && nodeOk(i)) {
-        chainNodes(0) = i
-        dfs(0)
-      }
-      i += 1
-    }
-    (values.toArray, nPaths)
+    if (stepType.exists(_ < 0)) (Array.empty, 0L) else new Extraction(g, h, stepType, sample).run()
   }
 
   /** Apply the hypothesis aggregate to extracted values. */
   def aggregate(h: Hypothesis, values: Array[Double], nPaths: Long): Option[Double] = h.agg match {
     case Agg.Count => Some(nPaths.toDouble)
     case _ if values.isEmpty => None
-    case Agg.Avg => Some(values.sum / values.length)
-    case Agg.Sum => Some(values.sum)
+    case Agg.Avg => Some(Stats.sumOf(values.length)(values(_)) / values.length)
+    case Agg.Sum => Some(Stats.sumOf(values.length)(values(_)))
     case Agg.Min => Some(values.min)
     case Agg.Max => Some(values.max)
   }
@@ -114,5 +54,136 @@ object LocalEvaluator {
     val (values, nPaths) = extract(g, h, sample)
     val est = aggregate(h, values, nPaths)
     EvalResult(est, nPaths, est.map(h.decide), values)
+  }
+}
+
+/** The adjacency one extraction walks. Row r stands for node `node(r)`; its
+  * entries k in [off(r), off(r+1)) are half-edges `half(k)` of G, in CSR
+  * order, each leading to row `next(k)`. Bit p of `usable(k)` says whether
+  * entry k realizes step p. Over G, rows and entries are the CSR's own, and
+  * `nodes`, `halves` (the identity) and `usable` (checked on the fly) are null.
+  */
+private final class Adjacency(val nodes: Array[Int], val off: Array[Int], halves: Array[Int],
+    val next: Array[Int], val usable: Array[Int]) {
+  def node(r: Int): Int = if (nodes == null) r else nodes(r)
+  def half(k: Int): Int = if (halves == null) k else halves(k)
+}
+
+/** One DFS for `h` over G, or over S's induced sub-CSR. The target
+  * attribute is read from its `Map` the first time a completed path needs
+  * it, then kept per row (node targets) or per entry (edge targets).
+  */
+private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int],
+    sample: Option[SampledGraph]) {
+  private val l = h.path.length
+  private val masks = g.labels(h.path)
+  private val steps = h.path.steps.toArray
+  private val adj = sample.fold(new Adjacency(null, g.adjOff, null, g.adjNbr, null))(induced)
+  private val rows = if (adj.nodes == null) g.numNodes else adj.nodes.length
+  private val chainRow = new Array[Int](l + 1)
+  private val chainEntry = new Array[Int](math.max(l, 1))
+  private var values = new Array[Double](16)
+  private var nValues = 0
+  private var nPaths = 0L
+
+  private val (nodePos, edgeStep, attr) = h.target match {
+    case NodeAttrTarget(p, a) => (p, -1, a)
+    case EdgeAttrTarget(s, a) => (-1, s, a)
+    case UnitTarget           => (-1, -1, "")
+  }
+  // Per row or entry: 0 = not read yet, 1 = absent or non-numeric, 2 = in `cached`.
+  private val slots = if (nodePos >= 0) rows else if (edgeStep >= 0) adj.off(rows) else 0
+  private val state = new Array[Byte](slots)
+  private val cached = new Array[Double](slots)
+
+  /** Half-edge `half`, leaving a node that satisfies M_p, realizes step p:
+    * declared type and direction, and its head satisfies M_{p+1}.
+    */
+  private def realizes(p: Int, half: Int): Boolean =
+    g.halfEdgeMatches(half, steps(p), stepType(p)) && masks(p + 1)(g.adjNbr(half))
+
+  /** S's induced sub-CSR. Rows are S's distinct in-range node indices in
+    * increasing order. A node that satisfies some M_p, p < l, gets as
+    * entries its half-edges to nodes of S (and in S's explicit edge set, if
+    * it has one) that realize such a step p; other nodes get none.
+    */
+  private def induced(s: SampledGraph): Adjacency = {
+    require(l < 32, s"paths of $l steps are too long")
+    val inS = new java.util.BitSet()
+    s.nodeIdx.foreach(v => if (v >= 0 && v < g.numNodes) inS.set(v))
+    val nodes = inS.stream().toArray
+    val edges = s.edgeIdx.map { es =>
+      val b = new java.util.BitSet(); es.foreach(e => if (e >= 0) b.set(e)); b
+    }.orNull
+    // Bit p set: node v satisfies M_p, p < l, so it may start step p.
+    def tails(v: Int): Int = { var bits, p = 0; while (p < l) { if (masks(p)(v)) bits |= 1 << p; p += 1 }; bits }
+    var cap = 0
+    for (v <- nodes if tails(v) != 0) cap += g.degree(v)
+    val off = new Array[Int](nodes.length + 1)
+    val halves, next, usable = new Array[Int](cap)
+    var k = 0
+    for (r <- nodes.indices) {
+      val v = nodes(r)
+      val from = tails(v)
+      var half = if (from == 0) g.adjOff(v + 1) else g.adjOff(v)
+      while (half < g.adjOff(v + 1)) {
+        val u = g.adjNbr(half)
+        if (inS.get(u) && (edges == null || edges.get(g.adjEdge(half)))) {
+          var bits, p = 0
+          while (p < l) { if ((from & 1 << p) != 0 && realizes(p, half)) bits |= 1 << p; p += 1 }
+          if (bits != 0) {
+            halves(k) = half; next(k) = java.util.Arrays.binarySearch(nodes, u); usable(k) = bits
+            k += 1
+          }
+        }
+        half += 1
+      }
+      off(r + 1) = k
+    }
+    new Adjacency(nodes, off, halves, next, usable)
+  }
+
+  def run(): (Array[Double], Long) = {
+    for (r <- 0 until rows) if (masks(0)(adj.node(r))) { chainRow(0) = r; dfs(0) }
+    (java.util.Arrays.copyOf(values, nValues), nPaths)
+  }
+
+  private def dfs(pos: Int): Unit =
+    if (pos == l) record()
+    else {
+      var k = adj.off(chainRow(pos))
+      while (k < adj.off(chainRow(pos) + 1)) {
+        if (if (adj.usable == null) realizes(pos, k) else (adj.usable(k) & 1 << pos) != 0) {
+          val r = adj.next(k)
+          var i = 0
+          while (i <= pos && chainRow(i) != r) i += 1
+          if (i > pos) { // r is not on the chain yet: paths are simple
+            chainRow(pos + 1) = r
+            chainEntry(pos) = k
+            dfs(pos + 1)
+          }
+        }
+        k += 1
+      }
+    }
+
+  private def record(): Unit = {
+    nPaths += 1
+    if (nodePos < 0 && edgeStep < 0) add(1.0) // UnitTarget
+    else {
+      val k = if (nodePos >= 0) chainRow(nodePos) else chainEntry(edgeStep)
+      if (state(k) == 0) {
+        val attrs = if (nodePos >= 0) g.nodeAttrs(adj.node(k)) else g.edgeAttrs(g.adjEdge(adj.half(k)))
+        state(k) = 1
+        attrs.get(attr).flatMap(Attr.num).foreach { x => cached(k) = x; state(k) = 2 }
+      }
+      if (state(k) == 2) add(cached(k))
+    }
+  }
+
+  private def add(x: Double): Unit = {
+    if (nValues == values.length) values = java.util.Arrays.copyOf(values, 2 * nValues)
+    values(nValues) = x
+    nValues += 1
   }
 }

@@ -54,16 +54,15 @@ final class LocalGraph(
   def matches(i: Int, m: Modifier): Boolean =
     m.matches(nodeType(i), nodeAttrs(i))
 
-  /** Per-position match bitmap for every modifier on a path — precomputed
-    * once so samplers and evaluators pay O(1) per membership test.
+  private val masks = new java.util.concurrent.ConcurrentHashMap[Modifier, Array[Boolean]]()
+
+  /** The match mask of every modifier on a path, by position: one flag per
+    * node. Each modifier's mask is computed once per graph, kept in a cache
+    * on this instance and shared by every caller, so read it, never write it.
     */
-  def labels(path: PathSpec): Array[Array[Boolean]] =
-    path.modifiers.toArray.map { m =>
-      val a = new Array[Boolean](numNodes)
-      var i = 0
-      while (i < numNodes) { a(i) = matches(i, m); i += 1 }
-      a
-    }
+  def labels(path: PathSpec): Array[Array[Boolean]] = path.modifiers.toArray.map { m =>
+    masks.computeIfAbsent(m, _ => Array.tabulate(numNodes)(i => matches(i, m)))
+  }
 
   /** Half-edge matches a declared step if the underlying edge type agrees and
     * the traversal direction matches the step's declared direction.

@@ -4,8 +4,8 @@ package repro.core
   * Figure 2: "acceptance or rejection result, p-value, and confidence
   * interval"). No external math library is available offline, so the
   * Student-t machinery (log-gamma, regularized incomplete beta by continued
-  * fraction, CDF inversion by bisection) is implemented here and verified
-  * against known quantiles in `StatsSpec`.
+  * fraction, CDF inversion by safeguarded Newton steps) is implemented here
+  * and verified against known quantiles in `StatsSpec`.
   */
 object Stats {
 
@@ -91,18 +91,39 @@ object Stats {
     }
   }
 
-  /** Student-t quantile: t such that P(T_df <= t) = p, by bisection. */
+  /** Student-t quantile: t such that P(T_df <= t) = p. Newton steps on the
+    * CDF from t = 0, inside a bracket that each step narrows (a step that
+    * would leave it bisects it instead), until t moves by at most 1e-12
+    * relative.
+    */
   def tQuantile(p: Double, df: Double): Double = {
     require(p > 0 && p < 1, s"p: $p")
+    val logDensity0 = logGamma((df + 1) / 2) - logGamma(df / 2) - 0.5 * math.log(df * math.Pi)
     var lo = -1e4
     var hi = 1e4
+    var t = 0.0
+    var step = 1.0
     var i = 0
-    while (i < 200) {
-      val mid = 0.5 * (lo + hi)
-      if (tCdf(mid, df) < p) lo = mid else hi = mid
+    while (math.abs(step) > 1e-12 * math.max(1.0, math.abs(t)) && i < 200) {
+      val f = tCdf(t, df) - p
+      if (f < 0) lo = t else hi = t
+      val newton = t - f / math.exp(logDensity0 - (df + 1) / 2 * math.log1p(t * t / df))
+      val next = if (f == 0) t else if (newton > lo && newton < hi) newton else 0.5 * (lo + hi)
+      step = next - t
+      t = next
       i += 1
     }
-    0.5 * (lo + hi)
+    t
+  }
+
+  /** f(0) + ... + f(n-1), added left to right from f(0) as `Array.sum`
+    * adds (so a lone -0.0 stays -0.0), without boxing; 0.0 when n = 0.
+    */
+  def sumOf(n: Int)(f: Int => Double): Double = {
+    var s = if (n == 0) 0.0 else f(0)
+    var i = 1
+    while (i < n) { s += f(i); i += 1 }
+    s
   }
 
   /** One-sample t-test outcome for a hypothesis mean against constant c. */
@@ -124,8 +145,8 @@ object Stats {
   def tTest(values: Array[Double], c: Double, op: CmpOp, alpha: Double = 0.05): TTest = {
     require(values.nonEmpty, "t-test needs at least one value")
     val n = values.length
-    val mean = values.sum / n
-    val variance = if (n < 2) 0.0 else values.map(v => (v - mean) * (v - mean)).sum / (n - 1)
+    val mean = sumOf(n)(values(_)) / n
+    val variance = if (n < 2) 0.0 else sumOf(n)(i => (values(i) - mean) * (values(i) - mean)) / (n - 1)
     val sd = math.sqrt(variance)
     val se = sd / math.sqrt(n.toDouble)
 

@@ -134,6 +134,16 @@ class EvaluatorSpec extends SparkSpec {
     assert(r.estimate.contains(3.0) && r.decision.contains(true))
   }
 
+  test("Avg and Sum aggregate like Array.sum, a lone -0.0 included") {
+    val h = coauthorAvg
+    for (v <- Seq(Array(-0.0), Array(-0.0, -0.0), Array(0.1, 0.2, 0.3), Array(1e16, 1.0, -1e16))) {
+      assert(LocalEvaluator.aggregate(h, v, v.length).map(java.lang.Double.doubleToRawLongBits)
+        .contains(java.lang.Double.doubleToRawLongBits(v.sum / v.length)), v.toSeq)
+      assert(LocalEvaluator.aggregate(h.copy(agg = Agg.Sum), v, v.length).map(java.lang.Double.doubleToRawLongBits)
+        .contains(java.lang.Double.doubleToRawLongBits(v.sum)), v.toSeq)
+    }
+  }
+
   // --------------------------------------------------------------- samples
 
   test("sample restriction: induced subgraph on {a1, a2, p1}") {

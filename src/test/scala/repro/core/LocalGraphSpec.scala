@@ -68,6 +68,18 @@ class LocalGraphSpec extends SparkSpec {
     assert(lab(0).count(identity) == 3) // three authors
     assert(lab(1).count(identity) == 3) // three papers
   }
+  test("labels share one cached mask per graph and modifier") {
+    val path = PathSpec(
+      Vector(Modifier("author"), Modifier("paper"), Modifier("author")),
+      Vector(PathStep("Authorship", reversed = true), PathStep("Authorship")))
+    val lab = g.labels(path)
+    assert(lab(0) eq lab(2))
+    assert(g.labels(path)(1) eq lab(1))
+    val papers = PathSpec(Vector(Modifier("paper")), Vector.empty)
+    assert(g.labels(papers)(0) eq lab(1))
+    val other = LocalGraph.fromAttributed(TestGraphs.tiny).labels(papers)(0)
+    assert(!(other eq lab(1)) && other.sameElements(lab(1)))
+  }
   test("halfEdgeMatches respects type and direction") {
     val a1 = g.indexOf(1L)
     val auth = g.etypeIndex("Authorship")
