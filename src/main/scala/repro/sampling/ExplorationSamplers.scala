@@ -100,6 +100,7 @@ final case class ShortestPathSampler() extends Sampler {
     val picked = new NodeBudget(math.min(budget, g.numNodes))
     val parent = new Array[Int](g.numNodes)
     val visited = new Array[Int](g.numNodes) // epoch marker, avoids clears
+    val queue = new Array[Int](g.numNodes)   // FIFO; a node enters once per epoch
     var epoch = 0
     var guard = 0
     while (!picked.isFull && guard < 200 * math.max(1, budget / 4) + 100) {
@@ -107,18 +108,20 @@ final case class ShortestPathSampler() extends Sampler {
       val t = uniformNode(g, rng)
       if (s != t) {
         epoch += 1
-        val queue = new java.util.ArrayDeque[Integer]()
         visited(s) = epoch; parent(s) = -1
-        queue.add(s)
+        queue(0) = s
+        var head = 0
+        var tail = 1
         var found = false
-        while (!queue.isEmpty && !found) {
-          val v = queue.poll().intValue()
+        while (head < tail && !found) {
+          val v = queue(head)
+          head += 1
           var h = g.adjOff(v)
           while (h < g.adjOff(v + 1) && !found) {
             val u = g.adjNbr(h)
             if (visited(u) != epoch) {
               visited(u) = epoch; parent(u) = v
-              if (u == t) found = true else queue.add(u)
+              if (u == t) found = true else { queue(tail) = u; tail += 1 }
             }
             h += 1
           }
