@@ -5,7 +5,7 @@ import java.nio.ByteBuffer
 import scala.util.Random
 
 import repro.{SparkSpec, TestGraphs}
-import repro.core.{LocalEvaluator, LocalGraph, Sampler}
+import repro.core.{Hypothesis, LocalEvaluator, LocalGraph, Sampler}
 import repro.eval.Tables
 import repro.hypotheses.Catalog
 
@@ -21,19 +21,37 @@ class GoldenSampleSpec extends SparkSpec {
   private val seeds = Seq(1L, 2L, 3L)
 
   /** The Table 3/4 samplers plus PHASE, by name. */
-  private def samplers(h: repro.core.Hypothesis): Map[String, Sampler] =
+  private def samplers(h: Hypothesis): Map[String, Sampler] =
     Tables.samplersFor(h) + ("PHASE" -> PhaseSampler(h))
 
-  private def digest(g: LocalGraph, dataset: String, sampler: String): String = {
+  private def defaultBudget(g: LocalGraph): Int = math.max(20, g.numNodes / 10)
+
+  /** Branches the default samplers and budget rarely take: PHASE_opt with
+    * n = 1 probes a hub's neighbors at almost every step; at budget |V|/2
+    * neighborhoods run out and PHASE_opt walkers teleport; and RWR, SBS and
+    * FFS with non-default parameters.
+    */
+  private val rareCases: Seq[(String, Hypothesis => Sampler, LocalGraph => Int)] = Seq(
+    ("PHASEopt n=1", h => PhaseOptSampler(h, n = 1), defaultBudget),
+    ("PHASE |V|/2", h => PhaseSampler(h), g => g.numNodes / 2),
+    ("PHASEopt |V|/2", h => PhaseOptSampler(h), g => g.numNodes / 2),
+    ("RWR 0.3", _ => RandomWalkWithRestart(0.3), defaultBudget),
+    ("SBS 2", _ => SnowballSampler(2), defaultBudget),
+    ("FFS 0.4", _ => ForestFireSampler(0.4), defaultBudget))
+
+  private def digest(g: LocalGraph, dataset: String, sampler: String): String =
+    digest(g, dataset, h => samplers(h)(sampler), defaultBudget(g))
+
+  private def digest(g: LocalGraph, dataset: String, sampler: Hypothesis => Sampler,
+      budget: Int): String = {
     val md = MessageDigest.getInstance("SHA-256")
     def put(xs: Long*): Unit = xs.foreach(x => md.update(ByteBuffer.allocate(8).putLong(x).array()))
-    val budget = math.max(20, g.numNodes / 10)
     for {
       kind <- Seq("node", "edge", "path")
       h = Catalog.all(dataset).byKind(kind).head
       seed <- seeds
     } {
-      val s = samplers(h)(sampler).sample(g, budget, new Random(seed))
+      val s = sampler(h).sample(g, budget, new Random(seed))
       put(s.nodeIdx.length.toLong)
       s.nodeIdx.foreach(i => put(i.toLong))
       s.edgeIdx.foreach { es => put(es.length.toLong); es.foreach(e => put(e.toLong)) }
@@ -88,6 +106,29 @@ class GoldenSampleSpec extends SparkSpec {
       "SBS" -> "8417ca7bcab88f45",
       "PHASE" -> "8c520fa945cceceb"))
 
+  private val rareGolden: Map[String, Map[String, String]] = Map(
+    "MovieLens" -> Map(
+      "PHASEopt n=1" -> "8b8e6d0749c3f697",
+      "PHASE |V|/2" -> "3043b8df95db17b1",
+      "PHASEopt |V|/2" -> "4fdee748263cee87",
+      "RWR 0.3" -> "b180daa0e5c9f79d",
+      "SBS 2" -> "e79771b6876195cd",
+      "FFS 0.4" -> "eac41917a376e535"),
+    "DBLP" -> Map(
+      "PHASEopt n=1" -> "ca2a6b77b72b4011",
+      "PHASE |V|/2" -> "a52919f93ca8b335",
+      "PHASEopt |V|/2" -> "df2911f36ffe3fa2",
+      "RWR 0.3" -> "12561e47d1cb41c8",
+      "SBS 2" -> "f0675aa55176f2b4",
+      "FFS 0.4" -> "88a1542d25f41b5d"),
+    "Yelp" -> Map(
+      "PHASEopt n=1" -> "91929b1c81867095",
+      "PHASE |V|/2" -> "9536d995ae1da876",
+      "PHASEopt |V|/2" -> "4c08779c17537f98",
+      "RWR 0.3" -> "771e2acbefa2a6b9",
+      "SBS 2" -> "7692afc92b05fd72",
+      "FFS 0.4" -> "8662a1b02bc53942"))
+
   private def check(dataset: String, g: => LocalGraph): Unit =
     test(s"samples and estimates on $dataset match the recorded hashes") {
       val names = Tables.samplerColumns :+ "PHASE"
@@ -96,7 +137,17 @@ class GoldenSampleSpec extends SparkSpec {
       assert(bad.isEmpty, s"changed: ${bad.map(n => s"$n ${got(n)}").mkString(", ")}")
     }
 
+  private def checkRare(dataset: String, g: => LocalGraph): Unit =
+    test(s"rarely-hit sampler branches on $dataset match the recorded hashes") {
+      val got = rareCases.map { case (n, sampler, budget) => n -> digest(g, dataset, sampler, budget(g)) }
+      val bad = got.filter { case (n, d) => !rareGolden(dataset).get(n).contains(d) }
+      assert(bad.isEmpty, s"changed: ${bad.map { case (n, d) => s"$n $d" }.mkString(", ")}")
+    }
+
   check("MovieLens", TestGraphs.mlSmallLocal)
   check("DBLP", TestGraphs.dblpSmallLocal)
   check("Yelp", TestGraphs.yelpSmallLocal)
+  checkRare("MovieLens", TestGraphs.mlSmallLocal)
+  checkRare("DBLP", TestGraphs.dblpSmallLocal)
+  checkRare("Yelp", TestGraphs.yelpSmallLocal)
 }
