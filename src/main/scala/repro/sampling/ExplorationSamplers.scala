@@ -6,13 +6,14 @@ import scala.util.Random
 import repro.core.{LocalGraph, SampledGraph, Sampler}
 import SamplerUtil._
 
-/** Snowball Sampler (SBS) [Goodman 1961]: breadth-first chain referral — each
-  * visited node recruits up to `k` of its not-yet-visited neighbors; reseeds
-  * when a wave dies out before the budget is met.
+/** The breadth-first expansion SBS and FFS share: a FIFO queue from a
+  * uniform seed; each dequeued node recruits `recruit` of its not-yet-sampled
+  * neighbors, drawn uniformly, and enqueues them. The count is evaluated
+  * after the shuffle, so a random count (FFS) draws after it. The expansion
+  * reseeds when the queue runs dry before the budget is met.
   */
-final case class SnowballSampler(k: Int = 5) extends Sampler {
-  val name = "SBS"
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
+private[sampling] object Expansion {
+  def sample(g: LocalGraph, budget: Int, rng: Random)(recruit: => Int): SampledGraph = {
     val picked = new NodeBudget(math.min(budget, g.numNodes))
     val queue = mutable.Queue.empty[Int]
     def reseed(): Unit = {
@@ -34,8 +35,7 @@ final case class SnowballSampler(k: Int = 5) extends Sampler {
           if (!picked.contains(u) && seen.add(u)) fresh += u
           h += 1
         }
-        val chosen = rng.shuffle(fresh).take(k)
-        chosen.foreach { u =>
+        rng.shuffle(fresh).take(recruit).foreach { u =>
           if (!picked.isFull) { picked.add(u); queue.enqueue(u) }
         }
       }
@@ -45,49 +45,29 @@ final case class SnowballSampler(k: Int = 5) extends Sampler {
   }
 }
 
+/** Snowball Sampler (SBS) [Goodman 1961]: breadth-first chain referral — each
+  * visited node recruits up to `k` of its not-yet-visited neighbors; reseeds
+  * when a wave dies out before the budget is met.
+  */
+final case class SnowballSampler(k: Int = 5) extends Sampler {
+  val name = "SBS"
+  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
+    Expansion.sample(g, budget, rng)(k)
+}
+
 /** Forest Fire Sampler (FFS) [Leskovec & Faloutsos 2006]: burns a
   * geometrically-distributed number of unvisited neighbors from each burning
-  * node (mean p/(1-p)), reseeding when the fire dies.
+  * node (mean p/(1-p), at least one), reseeding when the fire dies.
   */
 final case class ForestFireSampler(p: Double = 0.7) extends Sampler {
   val name = "FFS"
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val picked = new NodeBudget(math.min(budget, g.numNodes))
-    val queue = mutable.Queue.empty[Int]
-    def reseed(): Unit = {
-      val s = uniformNode(g, rng)
-      if (!picked.contains(s)) { picked.add(s); queue.enqueue(s) }
-    }
-    def geometric(): Int = {
+  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
+    Expansion.sample(g, budget, rng) {
       // Number of failures before first success with success prob 1-p.
       var x = 0
       while (rng.nextDouble() < p && x < 1000) x += 1
-      x
+      math.max(1, x)
     }
-    reseed()
-    var guard = 0
-    val cap = stepCap(budget)
-    while (!picked.isFull && guard < cap) {
-      if (queue.isEmpty) reseed()
-      else {
-        val v = queue.dequeue()
-        val fresh = mutable.ArrayBuffer.empty[Int]
-        val seen = new java.util.HashSet[Int]()
-        var h = g.adjOff(v)
-        while (h < g.adjOff(v + 1)) {
-          val u = g.adjNbr(h)
-          if (!picked.contains(u) && seen.add(u)) fresh += u
-          h += 1
-        }
-        val burn = rng.shuffle(fresh).take(math.max(1, geometric()))
-        burn.foreach { u =>
-          if (!picked.isFull) { picked.add(u); queue.enqueue(u) }
-        }
-      }
-      guard += 1
-    }
-    SampledGraph(picked.toArray)
-  }
 }
 
 /** Shortest Path Sampler (ShortestPathS) [Rafiei & Curial 2005]: repeatedly

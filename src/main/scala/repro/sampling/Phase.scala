@@ -53,24 +53,42 @@ final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double)
     } else initialProgress(u)
 }
 
-/** PHASE (Algorithm 1): an m-dimensional FrontierS-style random walk whose
-  * walker choice and transitions are biased by [[HypothesisBias]]. At every
-  * step it weighs *all* neighbors of the chosen walker — the O(B·2|E|/|V|)
-  * cost that PHASE_opt removes.
+/** The candidate set of a PHASE step: `collect` adds the candidate
+  * half-edges at the chosen walker's node `v`. The buffers hold one step's
+  * candidates and their weights; they grow as needed and are reused.
+  */
+private[sampling] abstract class Candidates {
+  var half = new Array[Int](32)
+  var weight = new Array[Double](32)
+  var size = 0
+
+  def collect(v: Int, picked: NodeBudget): Unit
+
+  final def add(h: Int): Unit = {
+    if (size == half.length) {
+      half = java.util.Arrays.copyOf(half, 2 * size)
+      weight = new Array[Double](2 * size)
+    }
+    half(size) = h
+    size += 1
+  }
+}
+
+/** The walker loop of PHASE (Algorithm 1), shared by PHASE_opt (Algorithm 2):
+  * m walkers start on uniform seeds; each step picks a walker ∝ its L_w,
+  * weighs the candidate half-edges at its node by N_w, moves it over one of
+  * them drawn ∝ weight, and adds both endpoints to V_S. The two samplers
+  * differ only in their [[Candidates]]. A walker with no candidate teleports
+  * to a fresh uniform seed so the budget still drains; for PHASE, whose
+  * candidates are all half-edges, that happens only on a node without edges.
   *
   * Budget semantics: one unit per distinct node added to V_S, matching every
   * other sampler in the framework (paper §2.3's unitary cost); S is the
   * induced subgraph on V_S.
   */
-final case class PhaseSampler(
-    h: Hypothesis,
-    m: Int = 50,
-    wh: Double = 10.0,
-    wl: Double = 0.1) extends Sampler {
-  val name = "PHASE"
-
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val bias = new HypothesisBias(g, h, wh, wl)
+private[sampling] object PhaseWalk {
+  def sample(g: LocalGraph, budget: Int, rng: Random, bias: HypothesisBias, m: Int,
+      cand: Candidates): SampledGraph = {
     val b = math.min(budget, g.numNodes)
     val nWalk = math.max(1, math.min(m, b))
     val pos = Array.fill(nWalk)(uniformNode(g, rng))
@@ -80,23 +98,28 @@ final case class PhaseSampler(
     var steps = 0
     val cap = stepCap(budget)
     while (!picked.isFull && steps < cap) {
-      val k = weightedIndex(lw, rng)
+      val k = weightedIndex(lw, nWalk, rng)
       val v = pos(k)
-      val d = g.degree(v)
-      val off = g.adjOff(v)
-      val w = new Array[Double](d)
-      var i = 0
-      while (i < d) {
-        w(i) = bias.candidateWeight(prog(k), off + i, g.adjNbr(off + i))
-        i += 1
+      cand.size = 0
+      cand.collect(v, picked)
+      if (cand.size == 0) {
+        val s = uniformNode(g, rng)
+        pos(k) = s
+        prog(k) = bias.initialProgress(s)
+        picked.add(s)
+      } else {
+        var i = 0
+        while (i < cand.size) {
+          cand.weight(i) = bias.candidateWeight(prog(k), cand.half(i), g.adjNbr(cand.half(i)))
+          i += 1
+        }
+        val half = cand.half(weightedIndex(cand.weight, cand.size, rng))
+        val u = g.adjNbr(half)
+        picked.add(v)
+        picked.add(u)
+        prog(k) = bias.nextProgress(prog(k), half, u)
+        pos(k) = u
       }
-      val sel = weightedIndex(w, rng)
-      val half = off + sel
-      val u = g.adjNbr(half)
-      picked.add(v)
-      picked.add(u)
-      prog(k) = bias.nextProgress(prog(k), half, u)
-      pos(k) = u
       lw(k) = bias.seedWeight(prog(k))
       steps += 1
     }
@@ -104,14 +127,35 @@ final case class PhaseSampler(
   }
 }
 
-/** PHASE_opt (Algorithm 2): PHASE with
+/** PHASE (Algorithm 1): an m-dimensional FrontierS-style random walk whose
+  * walker choice and transitions are biased by [[HypothesisBias]]. At every
+  * step it weighs *all* neighbors of the chosen walker — the O(B·2|E|/|V|)
+  * cost that PHASE_opt removes.
+  */
+final case class PhaseSampler(
+    h: Hypothesis,
+    m: Int = 50,
+    wh: Double = 10.0,
+    wl: Double = 0.1) extends Sampler {
+  val name = "PHASE"
+
+  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
+    PhaseWalk.sample(g, budget, rng, new HypothesisBias(g, h, wh, wl), m, new Candidates {
+      def collect(v: Int, picked: NodeBudget): Unit = {
+        var half = g.adjOff(v)
+        while (half < g.adjOff(v + 1)) { add(half); half += 1 }
+      }
+    })
+}
+
+/** PHASE_opt (Algorithm 2): PHASE with a smaller candidate set,
   *  - Optim 2: already-sampled nodes are removed from the candidate set
   *    (N' = N[v] − V_S — global non-backtracking), and
   *  - Optim 1: at most `n` candidates are drawn from N' before weighting,
   *    bounding per-step work by O(n) instead of O(deg) — the O(B) total
   *    complexity claimed in §3.2.2.
   * A walker whose entire neighborhood is already sampled teleports to a
-  * fresh uniform seed so the budget still drains.
+  * fresh uniform seed.
   */
 final case class PhaseOptSampler(
     h: Hypothesis,
@@ -121,66 +165,28 @@ final case class PhaseOptSampler(
     wl: Double = 0.1) extends Sampler {
   val name = "PHASEopt"
 
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val bias = new HypothesisBias(g, h, wh, wl)
-    val b = math.min(budget, g.numNodes)
-    val nWalk = math.max(1, math.min(m, b))
-    val pos = Array.fill(nWalk)(uniformNode(g, rng))
-    val prog = pos.map(bias.initialProgress)
-    val lw = prog.map(bias.seedWeight)
-    val picked = new NodeBudget(b)
-    var steps = 0
-    val cap = stepCap(budget)
-    val candHalf = new Array[Int](n)
-    val candW = new Array[Double](n)
-    while (!picked.isFull && steps < cap) {
-      val k = weightedIndex(lw, rng)
-      val v = pos(k)
-      val d = g.degree(v)
-      val off = g.adjOff(v)
-      var nc = 0
-      if (d <= n) {
-        // Small neighborhoods: scan, applying Optim 2's visited filter.
-        var i = 0
-        while (i < d) {
-          val u = g.adjNbr(off + i)
-          if (!picked.contains(u)) { candHalf(nc) = off + i; nc += 1 }
-          i += 1
-        }
-      } else {
-        // Hubs: O(n) random probes with rejection of visited nodes — never
-        // scans the full neighbor list (this is what wins Table 2).
-        var tries = 0
-        while (nc < n && tries < 3 * n) {
-          val halfE = off + rng.nextInt(d)
-          if (!picked.contains(g.adjNbr(halfE))) { candHalf(nc) = halfE; nc += 1 }
-          tries += 1
+  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
+    PhaseWalk.sample(g, budget, rng, new HypothesisBias(g, h, wh, wl), m, new Candidates {
+      def collect(v: Int, picked: NodeBudget): Unit = {
+        val d = g.degree(v)
+        val off = g.adjOff(v)
+        if (d <= n) {
+          // Small neighborhoods: scan, applying Optim 2's visited filter.
+          var i = 0
+          while (i < d) {
+            if (!picked.contains(g.adjNbr(off + i))) add(off + i)
+            i += 1
+          }
+        } else {
+          // Hubs: O(n) random probes with rejection of visited nodes — never
+          // scans the full neighbor list (this is what wins Table 2).
+          var tries = 0
+          while (size < n && tries < 3 * n) {
+            val half = off + rng.nextInt(d)
+            if (!picked.contains(g.adjNbr(half))) add(half)
+            tries += 1
+          }
         }
       }
-      if (nc == 0) {
-        // Neighborhood exhausted: teleport to a fresh seed.
-        val s = uniformNode(g, rng)
-        pos(k) = s
-        prog(k) = bias.initialProgress(s)
-        lw(k) = bias.seedWeight(prog(k))
-        picked.add(s)
-      } else {
-        var i = 0
-        while (i < nc) {
-          candW(i) = bias.candidateWeight(prog(k), candHalf(i), g.adjNbr(candHalf(i)))
-          i += 1
-        }
-        val sel = weightedIndex(java.util.Arrays.copyOfRange(candW, 0, nc), rng)
-        val half = candHalf(sel)
-        val u = g.adjNbr(half)
-        picked.add(v)
-        picked.add(u)
-        prog(k) = bias.nextProgress(prog(k), half, u)
-        pos(k) = u
-        lw(k) = bias.seedWeight(prog(k))
-      }
-      steps += 1
-    }
-    SampledGraph(picked.toArray)
-  }
+    })
 }

@@ -7,20 +7,22 @@ import repro.core.LocalGraph
 /** Shared helpers for driver-side samplers. */
 object SamplerUtil {
 
-  /** Index drawn ∝ weights(i); weights must be non-negative with a positive sum. */
-  def weightedIndex(weights: Array[Double], rng: Random): Int = {
+  /** Index i < n drawn ∝ weights(i); the first n weights must be
+    * non-negative with a positive sum.
+    */
+  def weightedIndex(weights: Array[Double], n: Int, rng: Random): Int = {
     var total = 0.0
     var i = 0
-    while (i < weights.length) { total += weights(i); i += 1 }
+    while (i < n) { total += weights(i); i += 1 }
     require(total > 0, "weighted selection over all-zero weights")
     var u = rng.nextDouble() * total
     i = 0
-    while (i < weights.length - 1) {
+    while (i < n - 1) {
       u -= weights(i)
       if (u <= 0) return i
       i += 1
     }
-    weights.length - 1
+    n - 1
   }
 
   def uniformNode(g: LocalGraph, rng: Random): Int = rng.nextInt(g.numNodes)

@@ -21,34 +21,39 @@ object TestGraphs {
     *   edges:   Authorship: p->a; PublishedIn p1->v1 p2->v2 p3->v1;
     *            WithDomain p1->f1(0.9) p2->f2(0.4) p3->f1(0.6); Cites p1->p2.
     */
-  lazy val tiny: AttributedGraph = AttributedGraph.fromTuples(
-    spark,
-    nodeRows = Seq(
-      (1L, "author", Map[String, Any]("affiliation" -> "MSR")),
-      (2L, "author", Map[String, Any]("affiliation" -> "ChineseInst")),
-      (3L, "author", Map[String, Any]("affiliation" -> "Other")),
-      (11L, "paper", Map[String, Any]("citation" -> 100.0, "venue_type" -> "conference", "year" -> 2020.0)),
-      (12L, "paper", Map[String, Any]("citation" -> 10.0, "venue_type" -> "journal", "year" -> 2001.0)),
-      (13L, "paper", Map[String, Any]("citation" -> 50.0, "venue_type" -> "conference", "year" -> 2015.0)),
-      (21L, "venue", Map[String, Any]("vtype" -> "conference")),
-      (22L, "venue", Map[String, Any]("vtype" -> "journal")),
-      (31L, "fos", Map[String, Any]("topic" -> "DM")),
-      (32L, "fos", Map[String, Any]("topic" -> "DB"))),
-    edgeRows = Seq(
-      (11L, 1L, "Authorship", Map.empty[String, Any]),
-      (11L, 2L, "Authorship", Map.empty[String, Any]),
-      (12L, 2L, "Authorship", Map.empty[String, Any]),
-      (12L, 3L, "Authorship", Map.empty[String, Any]),
-      (13L, 1L, "Authorship", Map.empty[String, Any]),
-      (11L, 21L, "PublishedIn", Map.empty[String, Any]),
-      (12L, 22L, "PublishedIn", Map.empty[String, Any]),
-      (13L, 21L, "PublishedIn", Map.empty[String, Any]),
-      (11L, 31L, "WithDomain", Map[String, Any]("weight" -> 0.9)),
-      (12L, 32L, "WithDomain", Map[String, Any]("weight" -> 0.4)),
-      (13L, 31L, "WithDomain", Map[String, Any]("weight" -> 0.6)),
-      (11L, 12L, "Cites", Map.empty[String, Any])))
+  lazy val tiny: AttributedGraph = AttributedGraph.fromTuples(spark, tinyNodes, tinyEdges)
+
+  private val tinyNodes = Seq(
+    (1L, "author", Map[String, Any]("affiliation" -> "MSR")),
+    (2L, "author", Map[String, Any]("affiliation" -> "ChineseInst")),
+    (3L, "author", Map[String, Any]("affiliation" -> "Other")),
+    (11L, "paper", Map[String, Any]("citation" -> 100.0, "venue_type" -> "conference", "year" -> 2020.0)),
+    (12L, "paper", Map[String, Any]("citation" -> 10.0, "venue_type" -> "journal", "year" -> 2001.0)),
+    (13L, "paper", Map[String, Any]("citation" -> 50.0, "venue_type" -> "conference", "year" -> 2015.0)),
+    (21L, "venue", Map[String, Any]("vtype" -> "conference")),
+    (22L, "venue", Map[String, Any]("vtype" -> "journal")),
+    (31L, "fos", Map[String, Any]("topic" -> "DM")),
+    (32L, "fos", Map[String, Any]("topic" -> "DB")))
+
+  private val tinyEdges = Seq(
+    (11L, 1L, "Authorship", Map.empty[String, Any]),
+    (11L, 2L, "Authorship", Map.empty[String, Any]),
+    (12L, 2L, "Authorship", Map.empty[String, Any]),
+    (12L, 3L, "Authorship", Map.empty[String, Any]),
+    (13L, 1L, "Authorship", Map.empty[String, Any]),
+    (11L, 21L, "PublishedIn", Map.empty[String, Any]),
+    (12L, 22L, "PublishedIn", Map.empty[String, Any]),
+    (13L, 21L, "PublishedIn", Map.empty[String, Any]),
+    (11L, 31L, "WithDomain", Map[String, Any]("weight" -> 0.9)),
+    (12L, 32L, "WithDomain", Map[String, Any]("weight" -> 0.4)),
+    (13L, 31L, "WithDomain", Map[String, Any]("weight" -> 0.6)),
+    (11L, 12L, "Cites", Map.empty[String, Any]))
 
   lazy val tinyLocal: LocalGraph = LocalGraph.fromAttributed(tiny)
+
+  /** [[tiny]] plus an author a4 without edges. */
+  lazy val tinyIsolatedLocal: LocalGraph = LocalGraph.fromAttributed(AttributedGraph.fromTuples(
+    spark, tinyNodes :+ ((4L, "author", Map[String, Any]("affiliation" -> "Other"))), tinyEdges))
 
   /** Small generated datasets (deterministic, shared across suites). */
   lazy val mlSmall: AttributedGraph = GraphGen.movieLens(spark, scale = 0.05)

@@ -57,6 +57,17 @@ class SamplerBasicsSpec extends SparkSpec {
       val out = s.sample(lg, lg.numNodes + 1000, new Random(6))
       assert(out.size <= lg.numNodes)
     }
+    test(s"${s.name}: works on a graph with an edge-less node") {
+      val g = TestGraphs.tinyIsolatedLocal
+      val withEdges = (0 until g.numNodes).filter(g.degree(_) > 0).toSet
+      for (seed <- 1 to 50) {
+        assert(s.sample(g, 2, new Random(seed)).size == 2, s"budget 2, seed $seed")
+        // A walk reaches the edge-less node only as a seed or a teleport
+        // target, so some walks hit the step cap one node short of |V|.
+        val all = s.sample(g, g.numNodes, new Random(seed)).nodeIdx.toSet
+        assert(withEdges.subsetOf(all), s"budget |V|, seed $seed")
+      }
+    }
   }
 
   test("RES: respects an edge budget and returns endpoint nodes") {
