@@ -1,7 +1,7 @@
 package repro.jobs
 
 import repro.core._
-import repro.graphgen.GraphGen
+import repro.eval.Tables
 import repro.hypotheses.Catalog
 
 /** Prints the ground-truth aggregate, relevant-instance count, and decision
@@ -12,11 +12,7 @@ import repro.hypotheses.Catalog
 object CalibrateJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSpark.session("calibrate")
-    val datasets = Seq(
-      "MovieLens" -> GraphGen.movieLens(spark, JobSpark.scale),
-      "DBLP" -> GraphGen.dblp(spark, JobSpark.scale),
-      "Yelp" -> GraphGen.yelp(spark, JobSpark.scale))
-    for ((name, ag) <- datasets) {
+    for ((name, ag) <- Tables.datasets(spark, Tables.config())) {
       val lg = LocalGraph.fromAttributed(ag)
       println(f"== $name: ${lg.numNodes}%,d nodes ${lg.numEdges}%,d edges")
       val hs = Catalog.all(name)

@@ -13,10 +13,4 @@ object JobSpark {
       .config("spark.ui.enabled", false)
       .config("spark.driver.host", "127.0.0.1")
       .getOrCreate()
-
-  /** Bench-scale graph scale factor (1.0 unless overridden). */
-  def scale: Double = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0)
-
-  /** Runs per measurement (paper: 30; default here 10 for wall-clock). */
-  def runs: Int = sys.env.get("REPRO_RUNS").map(_.toInt).getOrElse(10)
 }
