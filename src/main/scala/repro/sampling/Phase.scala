@@ -155,7 +155,7 @@ final case class PhaseSampler(
   *    bounding per-step work by O(n) instead of O(deg) — the O(B) total
   *    complexity claimed in §3.2.2.
   * A walker whose entire neighborhood is already sampled teleports to a
-  * fresh uniform seed.
+  * fresh uniform seed so the budget still drains.
   */
 final case class PhaseOptSampler(
     h: Hypothesis,

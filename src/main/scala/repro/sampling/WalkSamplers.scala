@@ -89,8 +89,8 @@ final case class RandomWalkWithRestart(restartProb: Double = 0.15) extends Sampl
 
 /** Metropolis-Hastings Random Walk (MHRW) [Hübler et al. 2008]: proposes a
   * uniform neighbor u of v and accepts with min(1, deg(v)/deg(u)), making the
-  * stationary distribution uniform over nodes. Rejections make no progress,
-  * so it waits twice as long as SRW before teleporting.
+  * stationary distribution uniform over nodes. A rejected proposal is a step
+  * without progress, so it allows 400 such steps before teleporting, not 200.
   */
 final case class MetropolisHastingsRandomWalk() extends Sampler {
   val name = "MHRW"
