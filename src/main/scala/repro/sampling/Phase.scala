@@ -53,25 +53,14 @@ final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double)
     } else initialProgress(u)
 }
 
-/** The candidate set of a PHASE step: `collect` adds the candidate
-  * half-edges at the chosen walker's node `v`. The buffers hold one step's
-  * candidates and their weights; they grow as needed and are reused.
+/** The candidate set of a PHASE step: `collect` writes the candidate
+  * half-edges at the chosen walker's node `v` into `out` and returns how
+  * many. A node of degree d has at most `bound(d)` of them; the walk sizes
+  * `out` by it.
   */
 private[sampling] abstract class Candidates {
-  var half = new Array[Int](32)
-  var weight = new Array[Double](32)
-  var size = 0
-
-  def collect(v: Int, picked: NodeBudget): Unit
-
-  final def add(h: Int): Unit = {
-    if (size == half.length) {
-      half = java.util.Arrays.copyOf(half, 2 * size)
-      weight = new Array[Double](2 * size)
-    }
-    half(size) = h
-    size += 1
-  }
+  def bound(d: Int): Int
+  def collect(v: Int, picked: NodeBudget, out: Array[Int]): Int
 }
 
 /** The walker loop of PHASE (Algorithm 1), shared by PHASE_opt (Algorithm 2):
@@ -95,25 +84,31 @@ private[sampling] object PhaseWalk {
     val prog = pos.map(bias.initialProgress)
     val lw = prog.map(bias.seedWeight)
     val picked = new NodeBudget(b)
+    var candHalf = new Array[Int](32)
+    var candW = new Array[Double](32)
     var steps = 0
     val cap = stepCap(budget)
     while (!picked.isFull && steps < cap) {
       val k = weightedIndex(lw, nWalk, rng)
       val v = pos(k)
-      cand.size = 0
-      cand.collect(v, picked)
-      if (cand.size == 0) {
+      val need = cand.bound(g.degree(v))
+      if (need > candHalf.length) {
+        candHalf = new Array[Int](need)
+        candW = new Array[Double](need)
+      }
+      val nc = cand.collect(v, picked, candHalf)
+      if (nc == 0) {
         val s = uniformNode(g, rng)
         pos(k) = s
         prog(k) = bias.initialProgress(s)
         picked.add(s)
       } else {
         var i = 0
-        while (i < cand.size) {
-          cand.weight(i) = bias.candidateWeight(prog(k), cand.half(i), g.adjNbr(cand.half(i)))
+        while (i < nc) {
+          candW(i) = bias.candidateWeight(prog(k), candHalf(i), g.adjNbr(candHalf(i)))
           i += 1
         }
-        val half = cand.half(weightedIndex(cand.weight, cand.size, rng))
+        val half = candHalf(weightedIndex(candW, nc, rng))
         val u = g.adjNbr(half)
         picked.add(v)
         picked.add(u)
@@ -141,9 +136,13 @@ final case class PhaseSampler(
 
   def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
     PhaseWalk.sample(g, budget, rng, new HypothesisBias(g, h, wh, wl), m, new Candidates {
-      def collect(v: Int, picked: NodeBudget): Unit = {
-        var half = g.adjOff(v)
-        while (half < g.adjOff(v + 1)) { add(half); half += 1 }
+      def bound(d: Int): Int = d
+      def collect(v: Int, picked: NodeBudget, out: Array[Int]): Int = {
+        val off = g.adjOff(v)
+        val d = g.degree(v)
+        var i = 0
+        while (i < d) { out(i) = off + i; i += 1 }
+        d
       }
     })
 }
@@ -167,26 +166,29 @@ final case class PhaseOptSampler(
 
   def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
     PhaseWalk.sample(g, budget, rng, new HypothesisBias(g, h, wh, wl), m, new Candidates {
-      def collect(v: Int, picked: NodeBudget): Unit = {
+      def bound(d: Int): Int = math.min(d, n)
+      def collect(v: Int, picked: NodeBudget, out: Array[Int]): Int = {
         val d = g.degree(v)
         val off = g.adjOff(v)
+        var nc = 0
         if (d <= n) {
           // Small neighborhoods: scan, applying Optim 2's visited filter.
           var i = 0
           while (i < d) {
-            if (!picked.contains(g.adjNbr(off + i))) add(off + i)
+            if (!picked.contains(g.adjNbr(off + i))) { out(nc) = off + i; nc += 1 }
             i += 1
           }
         } else {
           // Hubs: O(n) random probes with rejection of visited nodes — never
           // scans the full neighbor list (this is what wins Table 2).
           var tries = 0
-          while (size < n && tries < 3 * n) {
+          while (nc < n && tries < 3 * n) {
             val half = off + rng.nextInt(d)
-            if (!picked.contains(g.adjNbr(half))) add(half)
+            if (!picked.contains(g.adjNbr(half))) { out(nc) = half; nc += 1 }
             tries += 1
           }
         }
+        nc
       }
     })
 }
