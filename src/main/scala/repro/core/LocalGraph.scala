@@ -47,6 +47,9 @@ final class LocalGraph(
 
   def degree(i: Int): Int = adjOff(i + 1) - adjOff(i)
 
+  /** The largest degree of any node (0 without nodes). */
+  lazy val maxDegree: Int = (0 until numNodes).foldLeft(0)((d, i) => math.max(d, degree(i)))
+
   def nodeType(i: Int): String = ntypes(ntypeOf(i))
   def edgeType(e: Int): String = etypes(etypeOf(e))
 

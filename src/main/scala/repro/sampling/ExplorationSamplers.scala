@@ -1,6 +1,5 @@
 package repro.sampling
 
-import scala.collection.mutable
 import scala.util.Random
 
 import repro.core.{LocalGraph, SampledGraph, Sampler}
@@ -11,37 +10,58 @@ import SamplerUtil._
   * neighbors, drawn uniformly, and enqueues them. The count is evaluated
   * after the shuffle, so a random count (FFS) draws after it. The expansion
   * reseeds when the queue runs dry before the budget is met.
+  *
+  * Nothing is allocated per node: a node enters the queue when it is picked,
+  * so at most once; the distinct fresh neighbors go into one buffer of the
+  * maximum degree, deduplicated by an epoch mark per dequeued node, and are
+  * shuffled in place with the draws of `Random.shuffle`.
   */
 private[sampling] object Expansion {
   def sample(g: LocalGraph, budget: Int, rng: Random)(recruit: => Int): SampledGraph = {
     val picked = new NodeBudget(math.min(budget, g.numNodes))
-    val queue = mutable.Queue.empty[Int]
-    def reseed(): Unit = {
-      val s = uniformNode(g, rng)
-      if (!picked.contains(s)) { picked.add(s); queue.enqueue(s) }
-    }
-    reseed()
+    val queue = new Array[Int](g.numNodes)
+    queue(0) = uniformNode(g, rng)
+    picked.add(queue(0))
+    var head = 0
+    var tail = 1
+    val fresh = new Array[Int](g.maxDegree)
+    val mark = new Array[Int](g.numNodes) // mark(u) == epoch: u is in `fresh`
+    var epoch = 0
     var guard = 0
     val cap = stepCap(budget)
     while (!picked.isFull && guard < cap) {
-      if (queue.isEmpty) reseed()
-      else {
-        val v = queue.dequeue()
-        val fresh = mutable.ArrayBuffer.empty[Int]
-        val seen = new java.util.HashSet[Int]()
+      if (head == tail) {
+        val s = uniformNode(g, rng)
+        if (!picked.contains(s)) { picked.add(s); queue(tail) = s; tail += 1 }
+      } else {
+        val v = queue(head)
+        head += 1
+        epoch += 1
+        var n = 0
         var h = g.adjOff(v)
         while (h < g.adjOff(v + 1)) {
           val u = g.adjNbr(h)
-          if (!picked.contains(u) && seen.add(u)) fresh += u
+          if (!picked.contains(u) && mark(u) != epoch) { mark(u) = epoch; fresh(n) = u; n += 1 }
           h += 1
         }
-        rng.shuffle(fresh).take(recruit).foreach { u =>
-          if (!picked.isFull) { picked.add(u); queue.enqueue(u) }
-        }
+        shuffle(fresh, n, rng)
+        val k = math.min(recruit, n)
+        var i = 0
+        while (i < k && !picked.isFull) { picked.add(fresh(i)); queue(tail) = fresh(i); tail += 1; i += 1 }
       }
       guard += 1
     }
     SampledGraph(picked.toArray)
+  }
+
+  /** Fisher–Yates on xs[0, n), making the `nextInt` calls of `Random.shuffle`. */
+  private def shuffle(xs: Array[Int], n: Int, rng: Random): Unit = {
+    var i = n
+    while (i >= 2) {
+      val j = rng.nextInt(i)
+      val x = xs(i - 1); xs(i - 1) = xs(j); xs(j) = x
+      i -= 1
+    }
   }
 }
 
@@ -72,49 +92,134 @@ final case class ForestFireSampler(p: Double = 0.7) extends Sampler {
 
 /** Shortest Path Sampler (ShortestPathS) [Rafiei & Curial 2005]: repeatedly
   * picks a random (s, t) pair, adds every node on one undirected BFS
-  * shortest path between them, until the budget is met.
+  * shortest path between them, from t back to s, until the budget is met.
+  * The path is the one a one-sided BFS from s (FIFO, CSR order) finds;
+  * [[ShortestPaths]] finds it by a bidirectional search.
   */
 final case class ShortestPathSampler() extends Sampler {
   val name = "ShortestPathS"
   def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
     val picked = new NodeBudget(math.min(budget, g.numNodes))
-    val parent = new Array[Int](g.numNodes)
-    val visited = new Array[Int](g.numNodes) // epoch marker, avoids clears
-    val queue = new Array[Int](g.numNodes)   // FIFO; a node enters once per epoch
-    var epoch = 0
+    val paths = new ShortestPaths(g)
     var guard = 0
     while (!picked.isFull && guard < 200 * math.max(1, budget / 4) + 100) {
       val s = uniformNode(g, rng)
       val t = uniformNode(g, rng)
       if (s != t) {
-        epoch += 1
-        visited(s) = epoch; parent(s) = -1
-        queue(0) = s
-        var head = 0
-        var tail = 1
-        var found = false
-        while (head < tail && !found) {
-          val v = queue(head)
-          head += 1
-          var h = g.adjOff(v)
-          while (h < g.adjOff(v + 1) && !found) {
-            val u = g.adjNbr(h)
-            if (visited(u) != epoch) {
-              visited(u) = epoch; parent(u) = v
-              if (u == t) found = true else { queue(tail) = u; tail += 1 }
-            }
-            h += 1
-          }
-        }
-        if (found) {
-          var v = t
-          while (v != -1 && !picked.isFull) { picked.add(v); v = parent(v) }
-        } else {
-          picked.add(s) // disconnected pair: still consume budget on the source
-        }
-      }
+        if (!paths.add(s, t, picked)) picked.add(s) // disconnected pair: still consume budget on the source
+      } else if (g.numNodes == 1) picked.add(s) // the one node is its own path
       guard += 1
     }
     SampledGraph(picked.toArray)
+  }
+}
+
+/** The shortest s–t path a one-sided BFS from s finds, by a level-synchronous
+  * bidirectional BFS [Pohl 1971].
+  *
+  * A one-sided BFS (FIFO, neighbors in CSR order, parent set on discovery)
+  * reaches t by the lexicographically first shortest path, comparing paths
+  * by the CSR position of each step. The s-side here expands whole levels
+  * the same way, so its parents are the one-sided BFS's; the t-side records
+  * each node's distance to t and always finishes a level. When the sides
+  * meet, with the s-side's last level a and the t-side's depth b, the path
+  * runs from s to the meeting node m, the first node of level a in queue
+  * order at distance b from t (by the parents), then to t, at each node by
+  * the first CSR neighbor one step closer to t. Each round expands the side
+  * whose frontier has fewer half-edges, which changes only the cost: two
+  * balls around s and t instead of one of radius d(s, t).
+  */
+private[sampling] final class ShortestPaths(g: LocalGraph) {
+  private val sSeen = new Array[Int](g.numNodes) // epoch stamps, so no clears
+  private val parent = new Array[Int](g.numNodes)
+  private val sQueue = new Array[Int](g.numNodes) // levels in order; a node enters once
+  private val tSeen = new Array[Int](g.numNodes)
+  private val distT = new Array[Int](g.numNodes)
+  private val tQueue = new Array[Int](g.numNodes)
+  private val hops = new Array[Int](g.numNodes) // m to t
+  private var epoch = 0
+
+  /** Adds the path's nodes to `picked` from t back to s, until it is full;
+    * false if s and t are not connected.
+    */
+  def add(s: Int, t: Int, picked: NodeBudget): Boolean = {
+    val m = meet(s, t)
+    if (m < 0) return false
+    var n = 0
+    hops(0) = m
+    while (distT(hops(n)) > 0) {
+      val v = hops(n)
+      var h = g.adjOff(v)
+      while (!(tSeen(g.adjNbr(h)) == epoch && distT(g.adjNbr(h)) == distT(v) - 1)) h += 1
+      n += 1
+      hops(n) = g.adjNbr(h)
+    }
+    while (n >= 0 && !picked.isFull) { picked.add(hops(n)); n -= 1 }
+    var v = parent(m)
+    while (v != -1 && !picked.isFull) { picked.add(v); v = parent(v) }
+    true
+  }
+
+  /** The meeting node m, or -1 if a side runs dry first. */
+  private def meet(s: Int, t: Int): Int = {
+    epoch += 1
+    sSeen(s) = epoch; parent(s) = -1; sQueue(0) = s
+    tSeen(t) = epoch; distT(t) = 0; tQueue(0) = t
+    var sLo = 0; var sHi = 1; var sVol = g.degree(s) // last level: sQueue[sLo, sHi)
+    var tLo = 0; var tHi = 1; var tVol = g.degree(t)
+    var b = 0
+    while (sLo < sHi && tLo < tHi) {
+      if (sVol <= tVol) {
+        // The first node of the new level that the t-side has seen is at
+        // distance b from t, and no earlier node of the level is.
+        val end = sHi
+        sVol = 0
+        var i = sLo
+        while (i < end) {
+          val v = sQueue(i)
+          var h = g.adjOff(v)
+          while (h < g.adjOff(v + 1)) {
+            val u = g.adjNbr(h)
+            if (sSeen(u) != epoch) {
+              sSeen(u) = epoch; parent(u) = v
+              if (tSeen(u) == epoch) return u
+              sQueue(sHi) = u; sHi += 1; sVol += g.degree(u)
+            }
+            h += 1
+          }
+          i += 1
+        }
+        sLo = end
+      } else {
+        // A node the s-side has seen is now at distance b from t, and on
+        // the s-side's last level: m is the first such node there.
+        val end = tHi
+        tVol = 0
+        b += 1
+        var hit = false
+        var i = tLo
+        while (i < end) {
+          val v = tQueue(i)
+          var h = g.adjOff(v)
+          while (h < g.adjOff(v + 1)) {
+            val u = g.adjNbr(h)
+            if (tSeen(u) != epoch) {
+              tSeen(u) = epoch; distT(u) = b
+              tQueue(tHi) = u; tHi += 1; tVol += g.degree(u)
+              if (sSeen(u) == epoch) hit = true
+            }
+            h += 1
+          }
+          i += 1
+        }
+        tLo = end
+        if (hit) {
+          var j = sLo
+          while (tSeen(sQueue(j)) != epoch) j += 1
+          return sQueue(j)
+        }
+      }
+    }
+    -1
   }
 }

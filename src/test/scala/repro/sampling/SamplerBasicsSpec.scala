@@ -96,6 +96,11 @@ class SamplerBasicsSpec extends SparkSpec {
       assert(out.size > 0, s.name)
     }
   }
+  test("ShortestPathS, SBS and FFS fill budget 1 on a one-node graph") {
+    val one = TestGraphs.fromEdges(1, Nil)
+    for (s <- Seq(ShortestPathSampler(), SnowballSampler(), ForestFireSampler()); seed <- 1L to 5L)
+      assert(s.sample(one, 1, new Random(seed)).nodeIdx.toSeq == Seq(0), s"${s.name}, seed $seed")
+  }
   test("budget of 1 yields a single node") {
     for (s <- Seq(RandomNodeSampler(), SimpleRandomWalk(), PhaseOptSampler(phaseH))) {
       assert(s.sample(lg, 1, new Random(8)).size == 1, s.name)
