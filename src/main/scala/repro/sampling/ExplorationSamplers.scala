@@ -170,8 +170,8 @@ private[sampling] final class ShortestPaths(g: LocalGraph) {
     var b = 0
     while (sLo < sHi && tLo < tHi) {
       if (sVol <= tVol) {
-        // The first node of the new level that the t-side has seen is at
-        // distance b from t, and no earlier node of the level is.
+        // Expand the s-side's last level. The first new node the t-side
+        // has seen is m: it is at distance b from t.
         val end = sHi
         sVol = 0
         var i = sLo
@@ -191,8 +191,9 @@ private[sampling] final class ShortestPaths(g: LocalGraph) {
         }
         sLo = end
       } else {
-        // A node the s-side has seen is now at distance b from t, and on
-        // the s-side's last level: m is the first such node there.
+        // Expand the t-side's whole next level. A node on it that the
+        // s-side has seen is on the s-side's last level; m is the first
+        // node there that the t-side has seen.
         val end = tHi
         tVol = 0
         b += 1
