@@ -1,5 +1,7 @@
 package repro.sampling
 
+import java.nio.ByteBuffer
+import java.security.MessageDigest
 import scala.util.Random
 
 import repro.{SparkSpec, TestGraphs}
@@ -68,6 +70,41 @@ class PhaseGraphXSpec extends SparkSpec {
     for (h <- Seq(Catalog.dblp.node.head, Catalog.dblp.edge.head, Catalog.dblp.path.head)) {
       val ids = PhaseGraphX.sample(spark, ag, h, budget = 50, seed = 11)
       assert(ids.length == 50, h.name)
+    }
+  }
+
+  /** First 16 hex digits of the SHA-256 over the sampled ids, in order. */
+  private def hash(ids: Array[Long]): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    ids.foreach(id => md.update(ByteBuffer.allocate(8).putLong(id).array()))
+    md.digest().take(8).map(b => f"$b%02x").mkString
+  }
+
+  test("golden samples: first node, edge and path hypothesis, seeds 1 and 2") {
+    val got = for {
+      h <- Seq(Catalog.dblp.node.head, Catalog.dblp.edge.head, Catalog.dblp.path.head)
+      seed <- Seq(1L, 2L)
+    } yield s"${h.name}/$seed " + hash(PhaseGraphX.sample(spark, ag, h, budget = 100, seed = seed))
+    assert(got == Seq(
+      "DB-N1/1 e93a19d65b6dada1", "DB-N1/2 bd68d25a97e8ab19",
+      "DB-E1/1 d9ec498613024de4", "DB-E1/2 ce7074a6d309bfca",
+      "DB-P1/1 b0c9a31a6131f47a", "DB-P1/2 584817e7cd82b240"))
+  }
+
+  // The seed and teleport draws index the vertex list, so its order must not
+  // depend on how Spark plans the mask query.
+  test("samples do not depend on the join strategy or the shuffle partitions") {
+    val h = Catalog.dblp.path.head
+    val base = PhaseGraphX.sample(spark, ag, h, budget = 100, seed = 4)
+    val keys = Seq("spark.sql.autoBroadcastJoinThreshold", "spark.sql.shuffle.partitions")
+    val saved = keys.map(k => k -> spark.conf.getOption(k))
+    try {
+      spark.conf.set("spark.sql.autoBroadcastJoinThreshold", 10L * 1024 * 1024)
+      spark.conf.set("spark.sql.shuffle.partitions", 4L)
+      assert(PhaseGraphX.sample(spark, ag, h, budget = 100, seed = 4).toSeq == base.toSeq)
+    } finally saved.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None) => spark.conf.unset(k)
     }
   }
 }
