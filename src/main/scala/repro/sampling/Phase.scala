@@ -5,15 +5,13 @@ import scala.util.Random
 import repro.core.{Hypothesis, LocalGraph, SampledGraph, Sampler}
 import SamplerUtil._
 
-/** The hypothesis-awareness machinery shared by PHASE, PHASE_opt and the
-  * GraphX PHASE: the two weight functions of §3.2.1, generalized from the
-  * transition probability matrices of Figure 3.
-  *
-  * A walker carries a *match progress* k — how many leading path positions
-  * its recent trajectory matches, its current node being position k-1.
-  * A candidate neighbor u reached over half-edge `half`:
-  *   - extends the match (weight w_h) if the half-edge realizes step k-1's
-  *     edge type in the declared direction and u satisfies M_k;
+/** Figure 3's transition rule, generalized from the transition probability
+  * matrices of the figure to a path of length l. A walker carries a *match
+  * progress* k: how many leading path positions its recent trajectory
+  * matches, its current node being position k-1. A move to a candidate
+  * neighbor u
+  *   - extends the match (weight w_h) if the edge it takes realizes step
+  *     k-1's edge type in the declared direction and u satisfies M_k;
   *   - can start a fresh match (weight w_h) if u satisfies M_0 (x_1 in the
   *     figure);
   *   - otherwise gets w_l.
@@ -21,11 +19,35 @@ import SamplerUtil._
   * walk of Fig. 3c (the choice depends on current and previous node via k).
   * Overlapping matches after a completed path are not tracked (a completed
   * walker restarts its progress) — see DESIGN.md §5.
+  *
+  * The rule takes the two facts about a move, "it extends the match" and
+  * "u satisfies M_0", as given: how to establish them depends on the graph's
+  * representation ([[HypothesisBias]] on the CSR, [[PhaseGraphX]] on GraphX
+  * triplets).
+  */
+private[sampling] final case class Figure3Rule(l: Int, wh: Double, wl: Double) {
+  /** Progress of a walker placed on a node. */
+  def start(m0: Boolean): Int = if (m0) 1 else 0
+
+  /** Transition weight (the paper's N_w) of a move. */
+  def weight(extendsMatch: Boolean, m0: Boolean): Double = if (extendsMatch || m0) wh else wl
+
+  /** Walker progress after the move, from progress k. A fully matched path
+    * restarts (possibly overlapping at position 0).
+    */
+  def next(k: Int, extendsMatch: Boolean, m0: Boolean): Int =
+    if (extendsMatch && k < l) k + 1 else start(m0)
+}
+
+/** The hypothesis-awareness machinery of PHASE and PHASE_opt on the CSR: the
+  * two weight functions of §3.2.1, with the move's facts for [[Figure3Rule]]
+  * read from a half-edge and the modifier labels.
   */
 final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double) {
   private val path = h.path
   val l: Int = path.length
   val labels: Array[Array[Boolean]] = g.labels(path)
+  private val rule = Figure3Rule(l, wh, wl)
   private val stepEtype: Array[Int] =
     path.steps.map(s => g.etypes.indexOf(s.etype)).toArray
 
@@ -33,7 +55,7 @@ final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double)
   def seedWeight(progress: Int): Double = if (progress >= 1) wh else wl
 
   /** Progress of a walker freshly placed on `v`. */
-  def initialProgress(v: Int): Int = if (labels(0)(v)) 1 else 0
+  def initialProgress(v: Int): Int = rule.start(labels(0)(v))
 
   private def extendsMatch(k: Int, half: Int, u: Int): Boolean =
     k >= 1 && k <= l && stepEtype(k - 1) >= 0 &&
@@ -42,15 +64,11 @@ final class HypothesisBias(g: LocalGraph, h: Hypothesis, wh: Double, wl: Double)
 
   /** Transition weight (the paper's N_w) for candidate u over `half`. */
   def candidateWeight(k: Int, half: Int, u: Int): Double =
-    if (extendsMatch(k, half, u) || labels(0)(u)) wh else wl
+    rule.weight(extendsMatch(k, half, u), labels(0)(u))
 
   /** Walker progress after actually moving to u over `half`. */
   def nextProgress(k: Int, half: Int, u: Int): Int =
-    if (extendsMatch(k, half, u)) {
-      val k2 = k + 1
-      // Full path matched: restart (possibly overlapping at position 0).
-      if (k2 == l + 1) initialProgress(u) else k2
-    } else initialProgress(u)
+    rule.next(k, extendsMatch(k, half, u), labels(0)(u))
 }
 
 /** The candidate set of a PHASE step: `collect` writes the candidate

@@ -2,7 +2,7 @@ package repro.sampling
 
 import org.apache.spark.graphx.{Edge, Graph, TripletFields, VertexId}
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, when}
 import scala.util.Random
 
 import repro.core.{AttributedGraph, Hypothesis, LocalGraph, SampledGraph, Sampler}
@@ -13,22 +13,24 @@ import repro.core.{AttributedGraph, Hypothesis, LocalGraph, SampledGraph, Sample
   * Structure per superstep (one hop for all m walkers — the synchronous
   * adaptation of Algorithm 1, DESIGN.md §5):
   *
-  *  1. the driver broadcasts the walker frontier {vertex -> (walkerId,
-  *     progress)} — m entries, tiny;
+  *  1. the driver broadcasts the walker frontier {vertex -> walker ids} —
+  *     m entries, tiny; a walker's *slot* is its index in its vertex's entry;
   *  2. `aggregateMessages` runs over every triplet: an edge incident to a
-  *     walker-hosting vertex emits, toward that vertex, a candidate record
-  *     for each hosted walker containing the neighbor id, its modifier
-  *     bitmask and a *race key* `-ln(U)/w` where w is the Figure-3
-  *     transition weight and U a per-(walker, edge, direction, superstep)
-  *     deterministic uniform draw. Min-key merge inside aggregateMessages
-  *     IS the weighted neighbor selection (exponential race), so the
-  *     weighted choice itself happens distributed, without materializing
-  *     any neighbor list;
-  *  3. the driver collects the ≤ m winning candidates, moves walkers,
+  *     walker-hosting vertex emits, toward that vertex, one candidate per
+  *     hosted walker, in the walker's slot: the neighbor id, the walker's
+  *     progress if it moves there, and a *race key* `-ln(U)/w` where w is
+  *     the [[Figure3Rule]] weight and U a per-(walker, edge, direction,
+  *     superstep) deterministic uniform draw. Merging slot by slot, keeping
+  *     the smaller key, IS the weighted neighbor selection (exponential
+  *     race), so the weighted choice itself happens distributed, without
+  *     materializing any neighbor list;
+  *  3. the driver collects the winning candidates, moves walkers,
   *     accumulates V_S, and repeats until the node budget is met.
   *
   * Vertex attribute: an Int bitmask of which path modifiers the node
-  * satisfies (computed once, via Catalyst filters on the nodes DataFrame).
+  * satisfies, computed by one Catalyst projection over the nodes DataFrame,
+  * so the driver's vertex list is in node order whatever join strategy or
+  * shuffle partitioning Spark is set to, and so are the samples.
   * Edge attribute: the edge-type index.
   *
   * Seed bias: Algorithm 1's per-step walker choice by L_w cannot exist in a
@@ -36,6 +38,9 @@ import repro.core.{AttributedGraph, Hypothesis, LocalGraph, SampledGraph, Sample
   * drawing the m initial seeds (M_0-satisfying nodes drawn ∝ w_h).
   */
 object PhaseGraphX {
+
+  /** Supersteps after which a walk stops short of its budget. */
+  private val maxSupersteps = 2000
 
   /** splitmix64 → uniform in (0,1), deterministic in the seed tuple. */
   private def unit(parts: Long*): Double = {
@@ -50,6 +55,19 @@ object PhaseGraphX {
     math.min(math.max(u, 1e-15), 1.0 - 1e-15)
   }
 
+  /** One superstep's candidates for the walkers on a vertex, by slot: race
+    * key, candidate id and the walker's progress after moving there.
+    */
+  private final case class Slots(key: Array[Double], cand: Array[Long], next: Array[Int])
+
+  private def minKeys(a: Slots, b: Slots): Slots = {
+    val out = Slots(a.key.clone(), a.cand.clone(), a.next.clone())
+    for (i <- b.key.indices if b.key(i) < a.key(i)) {
+      out.key(i) = b.key(i); out.cand(i) = b.cand(i); out.next(i) = b.next(i)
+    }
+    out
+  }
+
   /** Sampled external node ids (order of first visit). */
   def sample(
       spark: SparkSession,
@@ -59,32 +77,21 @@ object PhaseGraphX {
       m: Int = 50,
       wh: Double = 10.0,
       wl: Double = 0.1,
-      seed: Long = 7,
-      maxSupersteps: Int = 2000): Array[Long] = {
+      seed: Long = 7): Array[Long] = {
 
     val path = h.path
     val l = path.length
-    val stepEtypes: Array[String] = path.steps.map(_.etype).toArray
+    val rule = Figure3Rule(l, wh, wl)
     val stepReversed: Array[Boolean] = path.steps.map(_.reversed).toArray
 
-    // Vertex bitmask of modifier satisfaction, via Catalyst filters.
-    val maskDf = path.modifiers.zipWithIndex
-      .foldLeft(ag.nodes.select(col("id"))) { case (df, (mod, i)) =>
-        df.join(
-          ag.nodes.filter(mod.column).select(col("id"), org.apache.spark.sql.functions.lit(1).as(s"b$i")),
-          Seq("id"), "left")
-      }
-    val maskCols = (0 to l).map(i => col(s"b$i"))
-    val vertices = maskDf.select(col("id") +: maskCols: _*).rdd.map { r =>
-      var bits = 0
-      var i = 0
-      while (i <= l) { if (!r.isNullAt(i + 1)) bits |= (1 << i); i += 1 }
-      (r.getLong(0), bits)
-    }
+    // Bit i of a vertex's mask: the vertex satisfies M_i.
+    val bits = path.modifiers.zipWithIndex
+      .map { case (mod, i) => when(mod.column, 1 << i).otherwise(0) }
+      .reduce(_ bitwiseOR _)
+    val vertices = ag.nodes.select(col("id"), bits).rdd.map(r => (r.getLong(0), r.getInt(1)))
 
-    val etypeNames = ag.edgeTypes.toArray
-    val etypeIdx = etypeNames.zipWithIndex.toMap
-    val stepEtypeIdx: Array[Int] = stepEtypes.map(e => etypeIdx.getOrElse(e, -1))
+    val etypeIdx = ag.edgeTypes.zipWithIndex.toMap
+    val stepEtypeIdx: Array[Int] = path.steps.map(s => etypeIdx.getOrElse(s.etype, -1)).toArray
     val edges = ag.edges.select("src", "dst", "etype").rdd.map { r =>
       Edge(r.getLong(0), r.getLong(1), etypeIdx(r.getString(2)))
     }
@@ -94,105 +101,80 @@ object PhaseGraphX {
     // Weighted seed draw (the L_w bias applied at initialization).
     val idBits = vertices.collect()
     val rng = new Random(seed)
-    val x1 = idBits.filter(t => (t._2 & 1) != 0).map(_._1)
-    val rest = idBits.filter(t => (t._2 & 1) == 0).map(_._1)
+    val x1 = idBits.collect { case (id, b) if (b & 1) != 0 => id }
+    val rest = idBits.collect { case (id, b) if (b & 1) == 0 => id }
     val nWalk = math.max(1, math.min(m, budget))
     val pX1 = if (x1.isEmpty) 0.0
               else wh * x1.length / (wh * x1.length + wl * math.max(1, rest.length))
-    val seeds = Array.fill(nWalk) {
-      if (rest.isEmpty || (x1.nonEmpty && rng.nextDouble() < pX1))
-        x1(rng.nextInt(x1.length))
-      else rest(rng.nextInt(rest.length))
-    }
-
-    def maskBit(bits: Int, i: Int): Boolean = (bits & (1 << i)) != 0
-    def initialProgress(bits: Int): Int = if (maskBit(bits, 0)) 1 else 0
-    def extendsMatch(progress: Int, etype: Int, forward: Boolean, candBits: Int): Boolean =
-      progress >= 1 && progress <= l && stepEtypeIdx(progress - 1) == etype &&
-        (forward != stepReversed(progress - 1)) && maskBit(candBits, progress)
-    def weight(progress: Int, etype: Int, forward: Boolean, candBits: Int): Double =
-      if (extendsMatch(progress, etype, forward, candBits) || maskBit(candBits, 0)) wh else wl
-
     // walkerId -> (vertex, progress)
     val pos = new Array[Long](nWalk)
     val prog = new Array[Int](nWalk)
-    val seedBits = idBits.toMap
-    var i = 0
-    while (i < nWalk) {
-      pos(i) = seeds(i)
-      prog(i) = initialProgress(seedBits.getOrElse(seeds(i), 0))
-      i += 1
+    for (w <- 0 until nWalk) {
+      val m0 = rest.isEmpty || (x1.nonEmpty && rng.nextDouble() < pX1)
+      pos(w) = if (m0) x1(rng.nextInt(x1.length)) else rest(rng.nextInt(rest.length))
+      prog(w) = rule.start(m0)
     }
+
+    def extendsMatch(k: Int, etype: Int, forward: Boolean, candBits: Int): Boolean =
+      k >= 1 && k <= l && stepEtypeIdx(k - 1) == etype &&
+        (forward != stepReversed(k - 1)) && (candBits & (1 << k)) != 0
 
     val picked = new scala.collection.mutable.LinkedHashSet[Long]
     val sc = spark.sparkContext
     var superstep = 0
     while (picked.size < budget && superstep < maxSupersteps) {
-      val frontier: Map[VertexId, Array[(Int, Int)]] =
-        (0 until nWalk).groupBy(w => pos(w))
-          .map { case (v, ws) => v -> ws.map(w => (w, prog(w))).toArray }
+      val frontier: Map[VertexId, Array[Int]] =
+        (0 until nWalk).groupBy(w => pos(w)).map { case (v, ws) => v -> ws.toArray }
+      val slot = Array.tabulate(nWalk)(w => (0 until w).count(pos(_) == pos(w)))
       val bFrontier = sc.broadcast(frontier)
+      val progNow = prog.clone()
       val stepSeed = seed ^ (superstep.toLong << 17)
 
-      // Candidate message: walkerId -> (raceKey, candidateId, candidateBits,
-      // etype, forward). Min-race-key merge = weighted sampling.
-      type Msg = Map[Int, (Double, Long, Int, Int, Boolean)]
-      val msgs = graph.aggregateMessages[Msg](
+      // The candidates over one edge for the walkers on its end `self`.
+      def candidates(ws: Array[Int], self: VertexId, cand: VertexId, candBits: Int, etype: Int,
+          forward: Boolean): Slots = {
+        val out = Slots(new Array[Double](ws.length), new Array[Long](ws.length), new Array[Int](ws.length))
+        for (i <- ws.indices) {
+          val w = ws(i)
+          val ext = extendsMatch(progNow(w), etype, forward, candBits)
+          val m0 = (candBits & 1) != 0
+          val u = unit(stepSeed, w.toLong, self, cand, if (forward) 1L else 0L, etype.toLong)
+          out.key(i) = -math.log(u) / rule.weight(ext, m0)
+          out.cand(i) = cand
+          out.next(i) = rule.next(progNow(w), ext, m0)
+        }
+        out
+      }
+
+      val msgs = graph.aggregateMessages[Slots](
         ctx => {
           val f = bFrontier.value
-          val srcWalkers = f.get(ctx.srcId)
-          if (srcWalkers.isDefined) {
-            val mm = srcWalkers.get.map { case (w, p) =>
-              val wgt = weight(p, ctx.attr, forward = true, ctx.dstAttr)
-              val u = unit(stepSeed, w.toLong, ctx.srcId, ctx.dstId, 1L, ctx.attr.toLong)
-              w -> ((-math.log(u) / wgt, ctx.dstId, ctx.dstAttr, ctx.attr, true))
-            }.toMap
-            ctx.sendToSrc(mm)
-          }
-          val dstWalkers = f.get(ctx.dstId)
-          if (dstWalkers.isDefined) {
-            val mm = dstWalkers.get.map { case (w, p) =>
-              val wgt = weight(p, ctx.attr, forward = false, ctx.srcAttr)
-              val u = unit(stepSeed, w.toLong, ctx.dstId, ctx.srcId, 0L, ctx.attr.toLong)
-              w -> ((-math.log(u) / wgt, ctx.srcId, ctx.srcAttr, ctx.attr, false))
-            }.toMap
-            ctx.sendToDst(mm)
-          }
+          f.get(ctx.srcId).foreach(ws =>
+            ctx.sendToSrc(candidates(ws, ctx.srcId, ctx.dstId, ctx.dstAttr, ctx.attr, forward = true)))
+          f.get(ctx.dstId).foreach(ws =>
+            ctx.sendToDst(candidates(ws, ctx.dstId, ctx.srcId, ctx.srcAttr, ctx.attr, forward = false)))
         },
-        (a, b) => {
-          // Per-walker min race key.
-          (a.keySet ++ b.keySet).map { w =>
-            (a.get(w), b.get(w)) match {
-              case (Some(x), Some(y)) => w -> (if (x._1 <= y._1) x else y)
-              case (Some(x), None)    => w -> x
-              case (None, Some(y))    => w -> y
-              case _                  => throw new IllegalStateException("unreachable")
-            }
-          }.toMap
-        },
+        minKeys,
         TripletFields.All)
 
-      val winners: Map[Int, (Double, Long, Int, Int, Boolean)] =
-        msgs.collect().iterator.flatMap(_._2).toMap
+      val winners: Map[VertexId, Slots] = msgs.collect().toMap
       bFrontier.destroy()
 
       var w = 0
       while (w < nWalk && picked.size < budget) {
-        winners.get(w) match {
-          case Some((_, cand, candBits, etype, forward)) =>
+        winners.get(pos(w)) match {
+          case Some(s) =>
+            val cand = s.cand(slot(w))
             if (picked.size < budget) picked += pos(w)
             if (picked.size < budget) picked += cand
-            prog(w) = if (extendsMatch(prog(w), etype, forward, candBits)) {
-              val k2 = prog(w) + 1
-              if (k2 == l + 1) initialProgress(candBits) else k2
-            } else initialProgress(candBits)
+            prog(w) = s.next(slot(w))
             pos(w) = cand
           case None =>
             // Isolated vertex (cannot happen on §2.1-conformant graphs):
             // teleport to a fresh seed.
-            val s = idBits(rng.nextInt(idBits.length))
-            pos(w) = s._1
-            prog(w) = initialProgress(s._2)
+            val (id, b) = idBits(rng.nextInt(idBits.length))
+            pos(w) = id
+            prog(w) = rule.start((b & 1) != 0)
         }
         w += 1
       }
