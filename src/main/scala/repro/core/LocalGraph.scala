@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Row
 import scala.collection.mutable
 
 /** A compact driver-side mirror of an [[AttributedGraph]].
@@ -72,12 +73,6 @@ final class LocalGraph(
     */
   def halfEdgeMatches(half: Int, step: PathStep, etypeIdx: Int): Boolean =
     etypeOf(adjEdge(half)) == etypeIdx && adjFwd(half) != step.reversed
-
-  def etypeIndex(name: String): Int = {
-    val k = etypes.indexOf(name)
-    require(k >= 0, s"unknown edge type '$name' (have ${etypes.mkString(",")})")
-    k
-  }
 }
 
 object LocalGraph {
@@ -85,6 +80,17 @@ object LocalGraph {
     * columns other than the structural ones; nulls are dropped from the maps.
     */
   def fromAttributed(g: AttributedGraph): LocalGraph = {
+    // The non-null values of a row's attribute columns, by column name.
+    def attrs(r: Row, names: Array[String], cols: Array[Int]): Map[String, Any] = {
+      val m = Map.newBuilder[String, Any]
+      var k = 0
+      while (k < cols.length) {
+        val v = r.get(cols(k))
+        if (v != null) m += names(k) -> v
+        k += 1
+      }
+      m.result()
+    }
     val nodeAttrCols = g.nodes.columns.filterNot(c => c == "id" || c == "ntype")
     val edgeAttrCols = g.edges.columns.filterNot(c => c == "src" || c == "dst" || c == "etype")
 
@@ -103,14 +109,7 @@ object LocalGraph {
       ids(i) = r.getLong(idCol)
       val t = r.getString(ntCol)
       ntypeOf(i) = ntypeTable.getOrElseUpdate(t, ntypeTable.size)
-      val m = Map.newBuilder[String, Any]
-      var k = 0
-      while (k < naCols.length) {
-        val v = r.get(naCols(k))
-        if (v != null) m += nodeAttrCols(k) -> v
-        k += 1
-      }
-      nAttrs(i) = m.result()
+      nAttrs(i) = attrs(r, nodeAttrCols, naCols)
       i += 1
     }
     val idToIdx = new java.util.HashMap[Long, Integer](n * 2)
@@ -136,14 +135,7 @@ object LocalGraph {
         s"edge references unknown node: ${r.getLong(sCol)} -> ${r.getLong(dCol)}")
       eSrc(i) = s.intValue(); eDst(i) = d.intValue()
       etypeOf(i) = etypeTable.getOrElseUpdate(r.getString(tCol), etypeTable.size)
-      val m = Map.newBuilder[String, Any]
-      var k = 0
-      while (k < eaCols.length) {
-        val v = r.get(eaCols(k))
-        if (v != null) m += edgeAttrCols(k) -> v
-        k += 1
-      }
-      eAttrs(i) = m.result()
+      eAttrs(i) = attrs(r, edgeAttrCols, eaCols)
       i += 1
     }
 

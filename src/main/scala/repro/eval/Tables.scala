@@ -37,12 +37,6 @@ object Tables {
     ("DBLP", "node") -> 2.5, ("DBLP", "edge") -> 2.5, ("DBLP", "path") -> 2.5,
     ("Yelp", "node") -> 2.0, ("Yelp", "edge") -> 2.0, ("Yelp", "path") -> 2.0)
 
-  /** The paper's sampling proportions, for the table headers. */
-  val paperProportions: Map[(String, String), Double] = Map(
-    ("MovieLens", "node") -> 1.0, ("MovieLens", "edge") -> 2.5, ("MovieLens", "path") -> 5.0,
-    ("DBLP", "node") -> 0.2, ("DBLP", "edge") -> 0.2, ("DBLP", "path") -> 0.2,
-    ("Yelp", "node") -> 0.1, ("Yelp", "edge") -> 1.0, ("Yelp", "path") -> 1.0)
-
   /** Table 3/4 column order (paper order). */
   val samplerColumns: Seq[String] = Seq("PHASEopt", "RES", "RNS", "DBS", "SRW",
     "NBRW", "RWR", "MHRW", "ShortestPathS", "FrontierS", "FFS", "SBS")

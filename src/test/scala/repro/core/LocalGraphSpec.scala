@@ -82,15 +82,12 @@ class LocalGraphSpec extends SparkSpec {
   }
   test("halfEdgeMatches respects type and direction") {
     val a1 = g.indexOf(1L)
-    val auth = g.etypeIndex("Authorship")
+    val auth = g.etypes.indexOf("Authorship")
     // From a1, Authorship edges are stored paper->author: traversal is reverse.
     for (h <- g.adjOff(a1) until g.adjOff(a1 + 1)) {
       assert(g.halfEdgeMatches(h, PathStep("Authorship", reversed = true), auth))
       assert(!g.halfEdgeMatches(h, PathStep("Authorship", reversed = false), auth))
     }
-  }
-  test("etypeIndex rejects unknown types") {
-    intercept[IllegalArgumentException](g.etypeIndex("Nope"))
   }
   test("generated graph CSR is consistent") {
     val lg = TestGraphs.dblpSmallLocal
