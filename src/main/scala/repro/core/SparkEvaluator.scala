@@ -11,8 +11,10 @@ import org.apache.spark.sql.functions._
   * in the declared direction (or against it for r^-1 steps). Path instances
   * are simple (pairwise-distinct node ids), matching [[LocalEvaluator]].
   *
-  * This is the ground-truth path H(G) of the framework (Figure 2); its
-  * results are oracle-checked against DuckDB SQL in the test suite.
+  * This is the Catalyst reference: its results are oracle-checked against
+  * DuckDB SQL, and [[LocalEvaluator]], which computes H(G) for the
+  * framework (`Framework.groundTruth`) as well as H(S), is checked against
+  * it in the tests and in the benchmark's output checks.
   */
 object SparkEvaluator {
 
