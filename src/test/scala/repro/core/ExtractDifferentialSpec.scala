@@ -149,6 +149,18 @@ class ExtractDifferentialSpec extends SparkSpec with PropSupport {
     assert(relevant > propIterations / 3, s"only $relevant of $propIterations cases had relevant paths")
   }
 
+  test("H(G) of every catalog hypothesis equals the full-scan reference on G") {
+    val data = Seq("MovieLens" -> TestGraphs.mlSmallLocal, "DBLP" -> TestGraphs.dblpSmallLocal,
+      "Yelp" -> TestGraphs.yelpSmallLocal)
+    for ((name, g) <- data; h <- Catalog.all(name).all) {
+      val (got, n) = LocalEvaluator.extract(g, h)
+      val (want, wantN) = ReferenceExtract(g, h)
+      assert(java.util.Arrays.equals(got, want) && n == wantN,
+        s"$name/${h.name}: ${got.length} values / $n paths, reference ${want.length} / $wantN")
+      assert(n > 0, s"$name/${h.name} has no relevant path in G")
+    }
+  }
+
   test("every sampler but RES: extraction on S equals SparkEvaluator on inducedSubgraph(S)") {
     import spark.implicits._
     val data = IndexedSeq(

@@ -3,6 +3,7 @@ package repro.core
 import scala.util.Random
 
 import repro.{SparkSpec, TestGraphs}
+import repro.eval.Tables
 import repro.hypotheses.Catalog
 import repro.sampling._
 
@@ -33,6 +34,25 @@ class FrameworkSpec extends SparkSpec {
     val t = out.ttest.get
     assert(t.pValue >= 0 && t.pValue <= 1)
     assert(t.ciLow <= t.mean && t.mean <= t.ciHigh)
+  }
+
+  test("runOnce's t-test equals Stats.tTest on its values, bit for bit in every field") {
+    def bits(t: Stats.TTest): Seq[Long] = t.productIterator.map {
+      case x: Double => java.lang.Double.doubleToRawLongBits(x)
+      case n: Int    => n.toLong
+    }.toSeq
+    val data = Seq("MovieLens" -> TestGraphs.mlSmallLocal, "DBLP" -> TestGraphs.dblpSmallLocal,
+      "Yelp" -> TestGraphs.yelpSmallLocal)
+    var tested = 0
+    for ((name, g) <- data; h <- Catalog.all(name).all; s <- Seq("PHASEopt", "RNS", "RES"); seed <- 1 to 3) {
+      val out = Framework.runOnce(g, h, Tables.samplersFor(h)(s), g.numNodes / 4, new Random(seed))
+      val want =
+        if (h.agg == Agg.Avg && out.result.values.nonEmpty) Some(Stats.tTest(out.result.values, h.c, h.op))
+        else None
+      assert(out.ttest.map(bits) == want.map(bits), s"$s on $name/${h.name}, seed $seed")
+      if (want.exists(_.n > 1)) tested += 1
+    }
+    assert(tested > 27 * 3 * 3 / 2, s"only $tested runs had a t-test on two or more values")
   }
 
   test("t-test p-value is small when the hypothesis holds with a wide margin") {

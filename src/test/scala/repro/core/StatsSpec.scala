@@ -98,6 +98,15 @@ class StatsSpec extends AnyFunSuite with PropSupport {
     assert(approx(Stats.tQuantile(0.95, 5.0), 2.015, 2e-3))
     assert(approx(Stats.tQuantile(0.975, 1.0), 12.706, 5e-2))
   }
+  test("tQuantile at large df follows the Cornish-Fisher expansion around z") {
+    // z = Φ⁻¹(0.975); the next term of the expansion is O(1/df³).
+    val z = 1.959963984540054
+    for (df <- Seq(1e4, 1e5, 1e6, 1e7)) {
+      val want = z + (z * z * z + z) / (4 * df) + (5 * math.pow(z, 5) + 16 * z * z * z + 3 * z) / (96 * df * df)
+      val got = Stats.tQuantile(0.975, df)
+      assert(approx(got, want, 1e-8), s"df $df: $got vs $want")
+    }
+  }
   test("tQuantile(0.5) = 0") {
     assert(approx(Stats.tQuantile(0.5, 7.0), 0.0, 1e-6))
   }
