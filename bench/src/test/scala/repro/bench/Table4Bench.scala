@@ -3,7 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.eval.Tables
 
-/** Paper Table 4 — execution time (s) of the 12 samplers on the same grid.
+/** Paper Table 4 — execution time (ms) of the 12 samplers on the same grid.
   *
   * Paper shape to reproduce:
   *  - RNS is (near) cheapest everywhere — it just draws node ids;

@@ -53,7 +53,7 @@ object Framework {
     val t2 = System.nanoTime()
     val ttest =
       if (h.agg == Agg.Avg && result.values.nonEmpty)
-        Some(Stats.tTest(result.values, h.c, h.op))
+        Some(Stats.tTest(result.values, h.c, h.op, knownMean = result.estimate))
       else None
     RunOutcome(result, ttest, (t1 - t0) / 1e6, (t2 - t1) / 1e6, s.size)
   }

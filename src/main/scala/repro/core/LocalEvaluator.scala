@@ -24,11 +24,15 @@ final case class EvalResult(
   *  - paths whose target attribute is absent/non-numeric are counted as
   *    relevant but contribute no value.
   *
-  * Cost: on G the DFS walks the graph's own CSR, O(|E| + paths). On S it
-  * walks S's induced sub-CSR, O(Σ deg v over the v ∈ S that satisfy some
-  * M_p with p < l, + paths), whatever |V| is. Either way start nodes come in
-  * increasing index order and half-edges in CSR order, so `values` comes out
-  * in the same order.
+  * Cost: one adjacency is built per call, over S's nodes, or over all of V
+  * for H(G). A node gets only its half-edges that realize a step from it, so
+  * the build costs O(Σ deg v over the nodes that satisfy some M_p, p < l)
+  * plus O(|V|/64) for S's node bitmap, and the DFS, whose last step is one
+  * flat loop, costs a few ns per path. Start nodes come in increasing index
+  * order and half-edges in CSR order, on G and on S alike, so `values` comes
+  * out in the same order. The Avg aggregate and the t-test's variance then
+  * make one pass each over the values: `Framework.runOnce` hands the Avg
+  * estimate to the t-test as its mean.
   */
 object LocalEvaluator {
 
@@ -43,8 +47,8 @@ object LocalEvaluator {
   def aggregate(h: Hypothesis, values: Array[Double], nPaths: Long): Option[Double] = h.agg match {
     case Agg.Count => Some(nPaths.toDouble)
     case _ if values.isEmpty => None
-    case Agg.Avg => Some(Stats.sumOf(values.length)(values(_)) / values.length)
-    case Agg.Sum => Some(Stats.sumOf(values.length)(values(_)))
+    case Agg.Avg => Some(Stats.sum(values) / values.length)
+    case Agg.Sum => Some(Stats.sum(values))
     case Agg.Min => Some(values.min)
     case Agg.Max => Some(values.max)
   }
@@ -57,32 +61,29 @@ object LocalEvaluator {
   }
 }
 
-/** The adjacency one extraction walks. Row r stands for node `node(r)`; its
-  * entries k in [off(r), off(r+1)) are half-edges `half(k)` of G, in CSR
-  * order, each leading to row `next(k)`. Bit p of `usable(k)` says whether
-  * entry k realizes step p. Over G, rows and entries are the CSR's own, and
-  * `nodes`, `halves` (the identity) and `usable` (checked on the fly) are null.
-  */
-private final class Adjacency(val nodes: Array[Int], val off: Array[Int], halves: Array[Int],
-    val next: Array[Int], val usable: Array[Int]) {
-  def node(r: Int): Int = if (nodes == null) r else nodes(r)
-  def half(k: Int): Int = if (halves == null) k else halves(k)
-}
-
-/** One DFS for `h` over G, or over S's induced sub-CSR. The target
-  * attribute is read from its `Map` the first time a completed path needs
-  * it, then kept per row (node targets) or per entry (edge targets).
+/** One DFS for `h` over the induced sub-CSR of S (S = V without a sample).
+  * Row r is node `nodes(r)`, S's in-range nodes in increasing order. A node
+  * that satisfies some M_p, p < l, gets as entries k in [off(r), off(r+1))
+  * its half-edges `halves(k)` to nodes of S (and in S's explicit edge set,
+  * if any), in CSR order, that realize such a step p: declared type and
+  * direction, and a head row `next(k)` that satisfies M_{p+1}. Bit p of
+  * `usable(k)` says which.
   */
 private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int],
     sample: Option[SampledGraph]) {
   private val l = h.path.length
   private val masks = g.labels(h.path)
-  private val steps = h.path.steps.toArray
-  private val adj = sample.fold(new Adjacency(null, g.adjOff, null, g.adjNbr, null))(induced)
-  private val rows = if (adj.nodes == null) g.numNodes else adj.nodes.length
+  private val (nodes, off, halves, next, usable) = induced()
+  private val rows = nodes.length
   private val chainRow = new Array[Int](l + 1)
   private val chainEntry = new Array[Int](math.max(l, 1))
-  private var values = new Array[Double](16)
+  private val onChain = new Array[Boolean](rows)
+  // walk(p)(r): the walks (simple or not) of steps p to l-1 from row r, at
+  // most 2^24. A row or entry with no walk beyond it is on no path, and the
+  // walks from the start rows, no fewer than the paths, size `values`.
+  private val walk = walks()
+  private var values = new Array[Double]({
+    var n = 0L; var r = 0; while (r < rows) { n += walk(0)(r); r += 1 }; math.min(n, 1L << 24).toInt })
   private var nValues = 0
   private var nPaths = 0L
 
@@ -91,99 +92,142 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
     case EdgeAttrTarget(s, a) => (-1, s, a)
     case UnitTarget           => (-1, -1, "")
   }
-  // Per row or entry: 0 = not read yet, 1 = absent or non-numeric, 2 = in `cached`.
-  private val slots = if (nodePos >= 0) rows else if (edgeStep >= 0) adj.off(rows) else 0
-  private val state = new Array[Byte](slots)
-  private val cached = new Array[Double](slots)
+  // The numeric target of each row (node target) or entry (edge target) on
+  // some path, where `has` is set; a unit target is slot 0, 1.0.
+  private val slots = if (nodePos >= 0) rows else if (edgeStep >= 0) off(rows) else 1
+  private val target = new Array[Double](slots)
+  private val has = new Array[Boolean](slots)
+  locally {
+    var k = 0
+    while (k < slots) {
+      val x = Attr.num(
+        if (nodePos >= 0) { if (walk(nodePos)(k) > 0) g.nodeAttrs(nodes(k)).getOrElse(attr, null) else null }
+        else if (edgeStep < 0) 1.0
+        else if ((usable(k) & 1 << edgeStep) != 0 && walk(edgeStep + 1)(next(k)) > 0)
+          g.edgeAttrs(g.adjEdge(halves(k))).getOrElse(attr, null)
+        else null)
+      if (x.isDefined) { target(k) = x.get; has(k) = true }
+      k += 1
+    }
+  }
 
-  /** Half-edge `half`, leaving a node that satisfies M_p, realizes step p:
-    * declared type and direction, and its head satisfies M_{p+1}.
-    */
-  private def realizes(p: Int, half: Int): Boolean =
-    g.halfEdgeMatches(half, steps(p), stepType(p)) && masks(p + 1)(g.adjNbr(half))
-
-  /** S's induced sub-CSR. Rows are S's distinct in-range node indices in
-    * increasing order. A node that satisfies some M_p, p < l, gets as
-    * entries its half-edges to nodes of S (and in S's explicit edge set, if
-    * it has one) that realize such a step p; other nodes get none.
-    */
-  private def induced(s: SampledGraph): Adjacency = {
+  private def induced(): (Array[Int], Array[Int], Array[Int], Array[Int], Array[Int]) = {
     require(l < 32, s"paths of $l steps are too long")
-    val inS = new java.util.BitSet()
-    s.nodeIdx.foreach(v => if (v >= 0 && v < g.numNodes) inS.set(v))
-    val nodes = inS.stream().toArray
-    val edges = s.edgeIdx.map { es =>
+    val steps = h.path.steps.toArray
+    // S as one bit per node of G, and how many of its nodes lie below each
+    // word: node u of S is row rank(u).
+    val members = sample.fold(Array.range(0, g.numNodes))(_.nodeIdx)
+    val words = new Array[Long]((g.numNodes >> 6) + 1)
+    val below = new Array[Int](words.length + 1)
+    def rank(u: Int): Int = below(u >> 6) + java.lang.Long.bitCount(words(u >> 6) & ((1L << u) - 1))
+    var i, k, r = 0
+    while (i < members.length) { val v = members(i); if (v >= 0 && v < g.numNodes) words(v >> 6) |= 1L << v; i += 1 }
+    while (r < words.length) { below(r + 1) = below(r) + java.lang.Long.bitCount(words(r)); r += 1 }
+    val nodes = new Array[Int](below(words.length))
+    i = 0
+    while (i < members.length) { val v = members(i); if (v >= 0 && v < g.numNodes) nodes(rank(v)) = v; i += 1 }
+    val edges = sample.flatMap(_.edgeIdx).map { es =>
       val b = new java.util.BitSet(); es.foreach(e => if (e >= 0) b.set(e)); b
     }.orNull
     // Bit p set: node v satisfies M_p, p < l, so it may start step p.
     def tails(v: Int): Int = { var bits, p = 0; while (p < l) { if (masks(p)(v)) bits |= 1 << p; p += 1 }; bits }
-    var cap = 0
-    for (v <- nodes if tails(v) != 0) cap += g.degree(v)
+    r = 0
+    while (r < nodes.length) { if (tails(nodes(r)) != 0) k += g.degree(nodes(r)); r += 1 }
     val off = new Array[Int](nodes.length + 1)
-    val halves, next, usable = new Array[Int](cap)
-    var k = 0
-    for (r <- nodes.indices) {
-      val v = nodes(r)
-      val from = tails(v)
-      var half = if (from == 0) g.adjOff(v + 1) else g.adjOff(v)
-      while (half < g.adjOff(v + 1)) {
+    val halves, next, usable = new Array[Int](k)
+    k = 0; r = 0
+    while (r < nodes.length) {
+      val from = tails(nodes(r))
+      var half = if (from == 0) g.adjOff(nodes(r) + 1) else g.adjOff(nodes(r))
+      while (half < g.adjOff(nodes(r) + 1)) {
         val u = g.adjNbr(half)
-        if (inS.get(u) && (edges == null || edges.get(g.adjEdge(half)))) {
+        if ((words(u >> 6) & 1L << u) != 0 && (edges == null || edges.get(g.adjEdge(half)))) {
           var bits, p = 0
-          while (p < l) { if ((from & 1 << p) != 0 && realizes(p, half)) bits |= 1 << p; p += 1 }
-          if (bits != 0) {
-            halves(k) = half; next(k) = java.util.Arrays.binarySearch(nodes, u); usable(k) = bits
-            k += 1
+          while (p < l) {
+            if ((from & 1 << p) != 0 && g.halfEdgeMatches(half, steps(p), stepType(p)) && masks(p + 1)(u)) bits |= 1 << p
+            p += 1
           }
+          if (bits != 0) { halves(k) = half; next(k) = rank(u); usable(k) = bits; k += 1 }
         }
         half += 1
       }
-      off(r + 1) = k
+      r += 1
+      off(r) = k
     }
-    new Adjacency(nodes, off, halves, next, usable)
+    (nodes, off, halves, next, usable)
+  }
+
+  private def walks(): Array[Array[Long]] = {
+    val w = Array.fill(l + 1)(new Array[Long](rows))
+    var p = l
+    var r = 0
+    while (r < rows) { if (masks(l)(nodes(r))) w(l)(r) = 1; r += 1 }
+    while (p > 0) {
+      p -= 1; r = 0
+      while (r < rows) {
+        var k = off(r)
+        while (k < off(r + 1)) { if ((usable(k) & 1 << p) != 0) w(p)(r) = math.min(1L << 24, w(p)(r) + w(p + 1)(next(k))); k += 1 }
+        r += 1
+      }
+    }
+    w
   }
 
   def run(): (Array[Double], Long) = {
-    for (r <- 0 until rows) if (masks(0)(adj.node(r))) { chainRow(0) = r; dfs(0) }
-    (java.util.Arrays.copyOf(values, nValues), nPaths)
+    var r = 0
+    while (r < rows) {
+      if (walk(0)(r) > 0 && l > 0) { chainRow(0) = r; onChain(r) = true; dfs(0); onChain(r) = false }
+      else if (walk(0)(r) > 0) { // l = 0: the start node alone is the path
+        val t = if (nodePos == 0) r else 0
+        nPaths += 1
+        if (has(t)) { values(nValues) = target(t); nValues += 1 }
+      }
+      r += 1
+    }
+    (if (nValues == values.length) values else java.util.Arrays.copyOf(values, nValues), nPaths)
   }
 
   private def dfs(pos: Int): Unit =
-    if (pos == l) record()
+    if (pos == l - 1) lastStep()
     else {
-      var k = adj.off(chainRow(pos))
-      while (k < adj.off(chainRow(pos) + 1)) {
-        if (if (adj.usable == null) realizes(pos, k) else (adj.usable(k) & 1 << pos) != 0) {
-          val r = adj.next(k)
-          var i = 0
-          while (i <= pos && chainRow(i) != r) i += 1
-          if (i > pos) { // r is not on the chain yet: paths are simple
-            chainRow(pos + 1) = r
-            chainEntry(pos) = k
-            dfs(pos + 1)
-          }
+      var k = off(chainRow(pos))
+      while (k < off(chainRow(pos) + 1)) {
+        val r = next(k)
+        if ((usable(k) & 1 << pos) != 0 && !onChain(r)) { // paths are simple
+          chainRow(pos + 1) = r
+          chainEntry(pos) = k
+          onChain(r) = true; dfs(pos + 1); onChain(r) = false
         }
         k += 1
       }
     }
 
-  private def record(): Unit = {
-    nPaths += 1
-    if (nodePos < 0 && edgeStep < 0) add(1.0) // UnitTarget
-    else {
-      val k = if (nodePos >= 0) chainRow(nodePos) else chainEntry(edgeStep)
-      if (state(k) == 0) {
-        val attrs = if (nodePos >= 0) g.nodeAttrs(adj.node(k)) else g.edgeAttrs(g.adjEdge(adj.half(k)))
-        state(k) = 1
-        attrs.get(attr).flatMap(Attr.num).foreach { x => cached(k) = x; state(k) = 2 }
+  /** Step l-1, one flat loop: each entry of the chain's last row that
+    * realizes it and leads off the chain completes a path, whose target is
+    * the head's row, the entry, or fixed by the chain so far.
+    */
+  private def lastStep(): Unit = {
+    val bit = 1 << (l - 1)
+    val perRow = nodePos == l
+    val perEntry = edgeStep == l - 1
+    val fixed = if (nodePos >= 0 && !perRow) chainRow(nodePos) else if (edgeStep >= 0 && !perEntry) chainEntry(edgeStep) else 0
+    var k = off(chainRow(l - 1))
+    val end = off(chainRow(l - 1) + 1)
+    if (values.length - nValues < end - k) // only past 2^24 walks
+      values = java.util.Arrays.copyOf(values, math.max(2 * values.length, nValues + end - k))
+    val vs = values
+    var nv = nValues
+    var np = nPaths
+    while (k < end) {
+      val r = next(k)
+      if ((usable(k) & bit) != 0 && !onChain(r)) {
+        np += 1
+        val t = if (perRow) r else if (perEntry) k else fixed
+        if (has(t)) { vs(nv) = target(t); nv += 1 }
       }
-      if (state(k) == 2) add(cached(k))
+      k += 1
     }
-  }
-
-  private def add(x: Double): Unit = {
-    if (nValues == values.length) values = java.util.Arrays.copyOf(values, 2 * nValues)
-    values(nValues) = x
-    nValues += 1
+    nValues = nv
+    nPaths = np
   }
 }

@@ -116,13 +116,16 @@ object Stats {
     t
   }
 
-  /** f(0) + ... + f(n-1), added left to right from f(0) as `Array.sum`
-    * adds (so a lone -0.0 stays -0.0), without boxing; 0.0 when n = 0.
+  /** f(0) + ... + f(n-1), added as `sum` adds; 0.0 when n = 0. */
+  def sumOf(n: Int)(f: Int => Double): Double = sum(Array.tabulate(n)(f))
+
+  /** xs(0) + ... + xs(n-1), added left to right from xs(0) as `Array.sum`
+    * adds (so a lone -0.0 stays -0.0), in one plain loop; 0.0 when empty.
     */
-  def sumOf(n: Int)(f: Int => Double): Double = {
-    var s = if (n == 0) 0.0 else f(0)
+  def sum(xs: Array[Double]): Double = {
+    var s = if (xs.isEmpty) 0.0 else xs(0)
     var i = 1
-    while (i < n) { s += f(i); i += 1 }
+    while (i < xs.length) { s += xs(i); i += 1 }
     s
   }
 
@@ -141,12 +144,18 @@ object Stats {
     * `op` (Gt: mean > c; Lt: mean < c; Eq/Ne: two-sided). Also returns the
     * 1-alpha confidence interval on the mean. Degenerate inputs (n < 2 or
     * zero variance) yield a point CI and a 0/1 p-value by direct comparison.
+    * A caller that has the mean, `sum(values) / n` (the Avg aggregate),
+    * passes it as `knownMean`: one pass over the values instead of two.
     */
-  def tTest(values: Array[Double], c: Double, op: CmpOp, alpha: Double = 0.05): TTest = {
+  def tTest(values: Array[Double], c: Double, op: CmpOp, alpha: Double = 0.05,
+      knownMean: Option[Double] = None): TTest = {
     require(values.nonEmpty, "t-test needs at least one value")
     val n = values.length
-    val mean = sumOf(n)(values(_)) / n
-    val variance = if (n < 2) 0.0 else sumOf(n)(i => (values(i) - mean) * (values(i) - mean)) / (n - 1)
+    val mean = knownMean.getOrElse(sum(values) / n)
+    var ss = (values(0) - mean) * (values(0) - mean) // squared deviations, added as `sum` adds
+    var i = 1
+    while (i < n) { val d = values(i) - mean; ss += d * d; i += 1 }
+    val variance = if (n < 2) 0.0 else ss / (n - 1)
     val sd = math.sqrt(variance)
     val se = sd / math.sqrt(n.toDouble)
 

@@ -198,5 +198,5 @@ object Tables {
     renderGrid(g, c => f"${c.accuracy}%.2f", "Table 3 — accuracy (avg of 3 hypotheses)")
 
   def renderTable4(g: Grid): String =
-    renderGrid(g, c => f"${c.millis / 1000.0}%.3f", "Table 4 — execution time, seconds (avg of 3 hypotheses)")
+    renderGrid(g, c => f"${c.millis}%.3f", "Table 4 — execution time, ms (avg of 3 hypotheses)")
 }
