@@ -180,12 +180,16 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
       else if (walk(0)(r) > 0) { // l = 0: the start node alone is the path
         val t = if (nodePos == 0) r else 0
         nPaths += 1
-        if (has(t)) { values(nValues) = target(t); nValues += 1 }
+        if (has(t)) { grow(1); values(nValues) = target(t); nValues += 1 }
       }
       r += 1
     }
     (if (nValues == values.length) values else java.util.Arrays.copyOf(values, nValues), nPaths)
   }
+
+  /** Room for `extra` more values; needed only past 2^24 walks. */
+  private def grow(extra: Int): Unit =
+    if (values.length - nValues < extra) values = java.util.Arrays.copyOf(values, math.max(2 * values.length, nValues + extra))
 
   private def dfs(pos: Int): Unit =
     if (pos == l - 1) lastStep()
@@ -213,8 +217,7 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
     val fixed = if (nodePos >= 0 && !perRow) chainRow(nodePos) else if (edgeStep >= 0 && !perEntry) chainEntry(edgeStep) else 0
     var k = off(chainRow(l - 1))
     val end = off(chainRow(l - 1) + 1)
-    if (values.length - nValues < end - k) // only past 2^24 walks
-      values = java.util.Arrays.copyOf(values, math.max(2 * values.length, nValues + end - k))
+    grow(end - k)
     val vs = values
     var nv = nValues
     var np = nPaths
