@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructType}
+import scala.collection.mutable
 
 /** An attributed graph (paper Def. 1) backed by two DataFrames.
   *
@@ -32,14 +34,6 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
   def edgeTypes: Seq[String] =
     edges.select("etype").distinct().collect().map(_.getString(0)).toSeq.sorted
 
-  /** Total (in+out) degree per node id; nodes with no edges are kept with 0. */
-  def degrees: DataFrame = {
-    val ends = edges.select(col("src") as "id")
-      .unionAll(edges.select(col("dst") as "id"))
-    nodes.select("id").join(ends.groupBy("id").agg(count(lit(1)) as "degree"), Seq("id"), "left")
-      .select(col("id"), coalesce(col("degree"), lit(0L)) as "degree")
-  }
-
   /** Induced subgraph on the given node ids: keeps every edge whose both
     * endpoints survive (the paper's S for node-collecting samplers).
     */
@@ -56,48 +50,41 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
 object AttributedGraph {
   /** Convenience constructor from in-memory tuples (tests / tiny graphs).
     * `nodeRows` = (id, ntype, attrs); `edgeRows` = (src, dst, etype, attrs).
-    * Attribute maps may have heterogeneous value types; each distinct key
-    * becomes a column typed by its first non-null value (Double/Long -> double,
-    * otherwise string).
+    * Each distinct attribute key becomes one nullable column, in key order.
+    * A key whose values are all numeric (see [[Attr.num]]) becomes a double
+    * column, any other key a string column of `String.valueOf` its values.
+    * A key with both numeric and non-numeric values is rejected. A null value
+    * counts as absent; an absent value is null.
     */
   def fromTuples(
       spark: SparkSession,
       nodeRows: Seq[(Long, String, Map[String, Any])],
       edgeRows: Seq[(Long, Long, String, Map[String, Any])]): AttributedGraph = {
-    import org.apache.spark.sql.Row
-    import org.apache.spark.sql.types._
-
-    def numeric(v: Any): Boolean = Attr.num(v).isDefined
-
-    def build(keys: Seq[String], isNum: Map[String, Boolean],
-              base: StructType, rows: Seq[Row]): DataFrame = {
-      val schema = keys.foldLeft(base) { (s, k) =>
-        s.add(k, if (isNum(k)) DoubleType else StringType, nullable = true)
+    // One table: the structural cells of each row, then its attribute cells.
+    def table(base: StructType, rows: Seq[(Seq[Any], Map[String, Any])]): DataFrame = {
+      // Per key, the kinds of its values: bit 0 numeric, bit 1 not numeric.
+      val kinds = mutable.TreeMap.empty[String, Int]
+      for ((_, attrs) <- rows; (k, v) <- attrs if v != null)
+        kinds(k) = kinds.getOrElse(k, 0) | (if (Attr.num(v).isDefined) 1 else 2)
+      for ((k, kind) <- kinds)
+        require(kind != 3, s"attribute key \"$k\" has both numeric and non-numeric values")
+      val columns = kinds.toSeq
+      val schema = columns.foldLeft(base) { case (s, (k, kind)) =>
+        s.add(k, if (kind == 1) DoubleType else StringType, nullable = true)
       }
-      spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), schema)
+      val cells = rows.map { case (fixed, attrs) =>
+        Row.fromSeq(fixed ++ columns.map { case (k, kind) =>
+          attrs.get(k).filter(_ != null)
+            .map(v => if (kind == 1) Double.box(Attr.num(v).get) else String.valueOf(v)).orNull
+        })
+      }
+      spark.createDataFrame(spark.sparkContext.parallelize(cells.toList), schema)
     }
-
-    val nKeys  = nodeRows.flatMap(_._3.keys).distinct.sorted
-    val nIsNum = nKeys.map(k => k -> nodeRows.flatMap(_._3.get(k)).exists(numeric)).toMap
-    def attrCell(isNum: Boolean, v: Option[Any]): Any = v match {
-      case None => null
-      case Some(x) => if (isNum) Attr.num(x).map(Double.box).orNull else String.valueOf(x)
-    }
-    val nRows = nodeRows.map { case (id, t, m) =>
-      Row.fromSeq(Seq(id, t) ++ nKeys.map(k => attrCell(nIsNum(k), m.get(k))))
-    }
-    val nodesDf = build(nKeys, nIsNum,
-      new StructType().add("id", LongType, false).add("ntype", StringType, false), nRows)
-
-    val eKeys  = edgeRows.flatMap(_._4.keys).distinct.sorted
-    val eIsNum = eKeys.map(k => k -> edgeRows.flatMap(_._4.get(k)).exists(numeric)).toMap
-    val eRows = edgeRows.map { case (s, d, t, m) =>
-      Row.fromSeq(Seq(s, d, t) ++ eKeys.map(k => attrCell(eIsNum(k), m.get(k))))
-    }
-    val edgesDf = build(eKeys, eIsNum,
-      new StructType().add("src", LongType, false).add("dst", LongType, false)
-        .add("etype", StringType, false), eRows)
-
-    AttributedGraph(nodesDf, edgesDf)
+    AttributedGraph(
+      table(new StructType().add("id", LongType, false).add("ntype", StringType, false),
+        nodeRows.map { case (id, t, m) => (Seq(id, t), m) }),
+      table(new StructType().add("src", LongType, false).add("dst", LongType, false)
+          .add("etype", StringType, false),
+        edgeRows.map { case (src, dst, t, m) => (Seq(src, dst, t), m) }))
   }
 }

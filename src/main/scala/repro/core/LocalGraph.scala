@@ -33,12 +33,8 @@ final class LocalGraph(
   val numNodes: Int = ids.length
   val numEdges: Int = edgeSrc.length
 
-  private val idToIdx: java.util.HashMap[Long, Integer] = {
-    val m = new java.util.HashMap[Long, Integer](numNodes * 2)
-    var i = 0
-    while (i < numNodes) { m.put(ids(i), i); i += 1 }
-    m
-  }
+  // Built on the first lookup: the pipeline itself never looks an id up.
+  private lazy val idToIdx = LocalGraph.idIndex(ids)
 
   /** Internal index of an external node id (-1 if absent). */
   def indexOf(id: Long): Int = {
@@ -76,6 +72,14 @@ final class LocalGraph(
 }
 
 object LocalGraph {
+  /** External id -> internal index, for every node. */
+  private def idIndex(ids: Array[Long]): java.util.HashMap[Long, Integer] = {
+    val m = new java.util.HashMap[Long, Integer](ids.length * 2)
+    var i = 0
+    while (i < ids.length) { m.put(ids(i), i); i += 1 }
+    m
+  }
+
   /** Collect an [[AttributedGraph]] to the driver. Attribute columns are all
     * columns other than the structural ones; nulls are dropped from the maps.
     */
@@ -112,9 +116,7 @@ object LocalGraph {
       nAttrs(i) = attrs(r, nodeAttrCols, naCols)
       i += 1
     }
-    val idToIdx = new java.util.HashMap[Long, Integer](n * 2)
-    i = 0
-    while (i < n) { idToIdx.put(ids(i), i); i += 1 }
+    val idToIdx = idIndex(ids)
 
     val eRows = g.edges.collect()
     val mEdges = eRows.length

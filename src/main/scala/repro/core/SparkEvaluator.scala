@@ -65,11 +65,10 @@ object SparkEvaluator {
     simple.select(idCols :+ fCol: _*)
   }
 
-  /** Full evaluation: extraction + aggregation + decision. Set
-    * `collectValues` to also pull the per-path f values to the driver
-    * (needed for significance testing; avoid on huge graphs).
+  /** Full evaluation: extraction + aggregation + decision. The per-path f
+    * values stay on the cluster, so `values` is empty.
     */
-  def evaluate(g: AttributedGraph, h: Hypothesis, collectValues: Boolean = false): EvalResult = {
+  def evaluate(g: AttributedGraph, h: Hypothesis): EvalResult = {
     val paths = relevantPaths(g, h).cache()
     try {
       val row = paths.agg(
@@ -91,11 +90,7 @@ object SparkEvaluator {
         case Agg.Min             => d(4)
         case Agg.Max             => d(5)
       }
-      val values =
-        if (collectValues)
-          paths.select(col("fval")).na.drop().collect().map(r => Attr.num(r.get(0)).get)
-        else Array.empty[Double]
-      EvalResult(est, nPaths, est.map(h.decide), values)
+      EvalResult(est, nPaths, est.map(h.decide), Array.empty)
     } finally {
       paths.unpersist()
     }

@@ -116,9 +116,6 @@ object Stats {
     t
   }
 
-  /** f(0) + ... + f(n-1), added as `sum` adds; 0.0 when n = 0. */
-  def sumOf(n: Int)(f: Int => Double): Double = sum(Array.tabulate(n)(f))
-
   /** xs(0) + ... + xs(n-1), added left to right from xs(0) as `Array.sum`
     * adds (so a lone -0.0 stays -0.0), in one plain loop; 0.0 when empty.
     */

@@ -102,22 +102,15 @@ object Tables {
         "path" -> Catalog.dblp.path.head).map { case (kind, h) =>
       val budget = math.max(1,
         (table2ProportionPct / 100.0 * lg.numNodes).toInt)
-      def measure(s: Sampler): (Double, Option[Double]) = {
-        // one warm-up run, then timed runs
+      val truth = Framework.groundTruth(lg, h)
+      // One warm-up run, then the timed runs, seeded cfg.seed+1 .. cfg.seed+runs.
+      def measure(s: Sampler): Framework.Accuracy = {
         Framework.runOnce(lg, h, s, budget, new Random(cfg.seed))
-        var total = 0.0
-        var estSum = 0.0
-        var estN = 0
-        for (r <- 1 to cfg.runs) {
-          val out = Framework.runOnce(lg, h, s, budget, new Random(cfg.seed + r))
-          total += out.totalMillis
-          out.result.estimate.foreach { e => estSum += e; estN += 1 }
-        }
-        (total / cfg.runs, if (estN > 0) Some(estSum / estN) else None)
+        Framework.accuracy(lg, h, s, budget, cfg.runs, cfg.seed + 1, truth)
       }
-      val (pMs, pEst) = measure(PhaseSampler(h))
-      val (oMs, oEst) = measure(PhaseOptSampler(h))
-      Table2Row(kind, h.name, pMs, oMs, pEst, oEst)
+      val p = measure(PhaseSampler(h))
+      val o = measure(PhaseOptSampler(h))
+      Table2Row(kind, h.name, p.avgTotalMillis, o.avgTotalMillis, p.avgEstimate, o.avgEstimate)
     }
   }
 

@@ -12,18 +12,9 @@ import repro.core.{LocalGraph, SampledGraph, Sampler}
 final case class RandomEdgeSampler() extends Sampler {
   val name = "RES"
   def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val b = math.min(budget, g.numEdges)
-    val idx = Array.range(0, g.numEdges)
-    var i = 0
-    while (i < b) {
-      val j = i + rng.nextInt(g.numEdges - i)
-      val t = idx(i); idx(i) = idx(j); idx(j) = t
-      i += 1
-    }
-    val edges = java.util.Arrays.copyOfRange(idx, 0, b)
+    val edges = SamplerUtil.partialShuffle(g.numEdges, math.min(budget, g.numEdges), rng)
     val nodes = new java.util.BitSet()
     edges.foreach { e => nodes.set(g.edgeSrc(e)); nodes.set(g.edgeDst(e)) }
-    val nodeArr = nodes.stream().toArray
-    SampledGraph(nodeArr, Some(edges))
+    SampledGraph(nodes.stream().toArray, Some(edges))
   }
 }

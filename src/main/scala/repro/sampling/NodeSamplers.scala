@@ -10,18 +10,8 @@ import SamplerUtil._
   */
 final case class RandomNodeSampler() extends Sampler {
   val name = "RNS"
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val b = math.min(budget, g.numNodes)
-    // Partial Fisher-Yates over a node permutation: O(n) space, O(B) time.
-    val idx = Array.range(0, g.numNodes)
-    var i = 0
-    while (i < b) {
-      val j = i + rng.nextInt(g.numNodes - i)
-      val t = idx(i); idx(i) = idx(j); idx(j) = t
-      i += 1
-    }
-    SampledGraph(java.util.Arrays.copyOfRange(idx, 0, b))
-  }
+  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph =
+    SampledGraph(partialShuffle(g.numNodes, math.min(budget, g.numNodes), rng))
 }
 
 /** Degree-Based Sampler (DBS): B nodes without replacement, each drawn with

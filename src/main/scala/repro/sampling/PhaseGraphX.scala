@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions.{col, when}
 import scala.util.Random
 
-import repro.core.{AttributedGraph, Hypothesis, LocalGraph, SampledGraph, Sampler}
+import repro.core.{AttributedGraph, Hypothesis}
 
 /** Distributed PHASE as an iterative vertex-program over a partitioned
   * GraphX graph (the `distributed_dataflow` reproduction target).
@@ -182,23 +182,5 @@ object PhaseGraphX {
     }
     graph.unpersist()
     picked.toArray
-  }
-}
-
-/** Adapter exposing [[PhaseGraphX]] through the uniform [[Sampler]]
-  * interface: samples on the distributed graph, then maps the returned
-  * external ids onto the local mirror for evaluation.
-  */
-final case class PhaseGraphXSampler(
-    spark: SparkSession,
-    ag: AttributedGraph,
-    h: Hypothesis,
-    m: Int = 50,
-    wh: Double = 10.0,
-    wl: Double = 0.1) extends Sampler {
-  val name = "PHASEgx"
-  def sample(g: LocalGraph, budget: Int, rng: Random): SampledGraph = {
-    val ids = PhaseGraphX.sample(spark, ag, h, budget, m, wh, wl, seed = rng.nextLong())
-    SampledGraph(ids.map(g.indexOf).filter(_ >= 0))
   }
 }

@@ -25,6 +25,22 @@ object SamplerUtil {
     n - 1
   }
 
+  /** k distinct indices drawn uniformly from 0 until n, in draw order: the
+    * first k places of a partial Fisher-Yates shuffle, one `nextInt` per
+    * place. Shuffling starts from the identity permutation, so a call takes
+    * O(n) time and space, not O(k).
+    */
+  def partialShuffle(n: Int, k: Int, rng: Random): Array[Int] = {
+    val idx = Array.range(0, n)
+    var i = 0
+    while (i < k) {
+      val j = i + rng.nextInt(n - i)
+      val t = idx(i); idx(i) = idx(j); idx(j) = t
+      i += 1
+    }
+    java.util.Arrays.copyOfRange(idx, 0, k)
+  }
+
   def uniformNode(g: LocalGraph, rng: Random): Int = rng.nextInt(g.numNodes)
 
   /** Uniform neighbor of `v` (requires degree > 0). */

@@ -20,16 +20,6 @@ class AttributedGraphSpec extends SparkSpec {
   test("density is |E| / (|V| (|V|-1))") {
     assert(math.abs(g.density - 12.0 / (10 * 9)) < 1e-12)
   }
-  test("degrees counts in+out edges") {
-    val deg = g.degrees.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(deg(11L) == 5) // p1: 2 authorship + venue + fos + cites
-    assert(deg(12L) == 5) // p2: 2 authorship + venue + fos + cited
-    assert(deg(1L) == 2)  // a1 on p1 and p3
-    assert(deg(21L) == 2) // v1 hosts p1, p3
-  }
-  test("degrees keeps all nodes") {
-    assert(g.degrees.count() == 10)
-  }
   test("induced subgraph keeps only edges with both endpoints") {
     import spark.implicits._
     val sub = g.inducedSubgraph(Seq(1L, 11L, 2L).toDF("id"))
@@ -50,6 +40,13 @@ class AttributedGraphSpec extends SparkSpec {
   test("fromTuples leaves absent attributes null") {
     val authors = g.nodes.filter(org.apache.spark.sql.functions.col("ntype") === "author")
     assert(authors.filter(org.apache.spark.sql.functions.col("citation").isNotNull).count() == 0)
+  }
+  test("fromTuples rejects a key with both numeric and non-numeric values") {
+    val nodes = Seq((1L, "a", Map[String, Any]("x" -> "abc")), (2L, "a", Map[String, Any]("x" -> 5)))
+    val e = intercept[IllegalArgumentException] {
+      AttributedGraph.fromTuples(spark, nodes, Seq((1L, 2L, "r", Map.empty[String, Any])))
+    }
+    assert(e.getMessage.contains("\"x\""), e.getMessage)
   }
   test("constructor validates required columns") {
     intercept[IllegalArgumentException] {

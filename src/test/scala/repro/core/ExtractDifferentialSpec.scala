@@ -175,9 +175,10 @@ class ExtractDifferentialSpec extends SparkSpec with PropSupport {
       val s = sampler.sample(g, g.numNodes / 4, new Random(i))
       val local = LocalEvaluator.evaluate(g, h, Some(s))
       val onS = ag.inducedSubgraph(s.nodeIdx.map(g.ids).toSeq.toDF("id"))
-      val reference = SparkEvaluator.evaluate(onS, h, collectValues = true)
+      val reference = SparkEvaluator.evaluate(onS, h)
       assert(local.nRelevant == reference.nRelevant, s"$name on $dataset/${h.name}")
-      assert(local.values.sorted.sameElements(reference.values.sorted), s"$name on $dataset/${h.name}")
+      assert(local.values.sorted.sameElements(ReferenceExtract.sparkValues(onS, h).sorted),
+        s"$name on $dataset/${h.name}")
       (local.estimate, reference.estimate) match {
         case (Some(a), Some(b)) => assert(math.abs(a - b) < 1e-6, s"$name on $dataset/${h.name}: $a vs $b")
         case (a, b)             => assert(a == b, s"$name on $dataset/${h.name}")

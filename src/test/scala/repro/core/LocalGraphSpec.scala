@@ -19,7 +19,7 @@ class LocalGraphSpec extends SparkSpec {
     assert(g.indexOf(999L) == -1)
   }
   test("degrees match the DataFrame computation") {
-    val dfDeg = TestGraphs.tiny.degrees.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val dfDeg = Degrees.of(TestGraphs.tiny).collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     for (i <- 0 until g.numNodes)
       assert(g.degree(i) == dfDeg(g.ids(i)), s"degree mismatch at node ${g.ids(i)}")
   }

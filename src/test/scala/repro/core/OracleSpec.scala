@@ -145,9 +145,9 @@ class OracleSpec extends SparkSpec {
     }
   }
 
-  test("SparkEvaluator collectValues returns the t-test inputs") {
+  test("SparkEvaluator's relevant paths carry the t-test inputs") {
     val h = Hypothesis("p", coauthor, NodeAttrTarget(1, "citation"), Agg.Avg, Gt, 0)
-    val r = SparkEvaluator.evaluate(g, h, collectValues = true)
-    assert(r.values.sorted.toSeq == Seq(10.0, 10.0, 100.0, 100.0))
+    val values = ReferenceExtract.sparkValues(g, h)
+    assert(values.sorted.toSeq == Seq(10.0, 10.0, 100.0, 100.0))
   }
 }

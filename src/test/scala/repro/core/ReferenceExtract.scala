@@ -80,4 +80,10 @@ object ReferenceExtract {
     }
     (values.toArray, nPaths)
   }
+
+  /** The non-null f values of [[SparkEvaluator.relevantPaths]], in no set
+    * order: the Catalyst side's t-test inputs, collected to the driver.
+    */
+  def sparkValues(g: AttributedGraph, h: Hypothesis): Array[Double] =
+    SparkEvaluator.relevantPaths(g, h).select("fval").na.drop().collect().map(_.getDouble(0))
 }

@@ -3,7 +3,7 @@ package repro.graphgen
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestGraphs}
-import repro.core.LocalGraph
+import repro.core.{Degrees, LocalGraph}
 
 /** Synthetic dataset generators: structure, determinism, planted signals. */
 class GraphGenSpec extends SparkSpec {
@@ -31,7 +31,7 @@ class GraphGenSpec extends SparkSpec {
   }
   test("every node has at least one edge (§2.1 assumption)") {
     for ((name, g) <- Seq("ml" -> ml, "dblp" -> db, "yelp" -> ye)) {
-      val isolated = g.degrees.filter(col("degree") === 0).count()
+      val isolated = Degrees.of(g).filter(col("degree") === 0).count()
       assert(isolated == 0, s"$name has $isolated isolated nodes")
     }
   }
