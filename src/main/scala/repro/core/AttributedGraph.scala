@@ -13,8 +13,14 @@ import scala.collection.mutable
   * plus flat attribute columns. Edges are directed; the inverse relation
   * r^-1 is available implicitly (walkers may traverse edges backwards and
   * path steps may be declared `reversed`).
+  *
+  * A graph made by [[AttributedGraph.fromTuples]] carries its driver-side
+  * [[LocalGraph]] in `local`, and its DataFrames are views of that graph's
+  * columns; one made from DataFrames alone carries none, and
+  * `LocalGraph.fromAttributed` collects it.
   */
-final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
+final case class AttributedGraph(nodes: DataFrame, edges: DataFrame,
+    private[core] val local: Option[LocalGraph] = None) {
   require(Seq("id", "ntype").forall(nodes.columns.contains(_)),
     s"nodes needs id/ntype columns, got ${nodes.columns.mkString(",")}")
   require(Seq("src", "dst", "etype").forall(edges.columns.contains(_)),
@@ -48,43 +54,65 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame) {
 }
 
 object AttributedGraph {
-  /** Convenience constructor from in-memory tuples (tests / tiny graphs).
+  /** Convenience constructor from in-memory tuples (generators, tests).
     * `nodeRows` = (id, ntype, attrs); `edgeRows` = (src, dst, etype, attrs).
     * Each distinct attribute key becomes one nullable column, in key order.
     * A key whose values are all numeric (see [[Attr.num]]) becomes a double
     * column, any other key a string column of `String.valueOf` its values.
     * A key with both numeric and non-numeric values is rejected. A null value
     * counts as absent; an absent value is null.
+    *
+    * The tuples fill one [[LocalGraph]], which the result carries. Each
+    * DataFrame reads that graph's columns through one broadcast, row i of
+    * partition p where `parallelize` would put it, so the driver keeps no
+    * rows.
     */
   def fromTuples(
       spark: SparkSession,
       nodeRows: Seq[(Long, String, Map[String, Any])],
       edgeRows: Seq[(Long, Long, String, Map[String, Any])]): AttributedGraph = {
-    // One table: the structural cells of each row, then its attribute cells.
-    def table(base: StructType, rows: Seq[(Seq[Any], Map[String, Any])]): DataFrame = {
+    // The columns of some rows' keys, in key order: (key, numeric?).
+    def keys(rows: Iterator[Map[String, Any]]): Seq[(String, Boolean)] = {
       // Per key, the kinds of its values: bit 0 numeric, bit 1 not numeric.
-      val kinds = mutable.TreeMap.empty[String, Int]
-      for ((_, attrs) <- rows; (k, v) <- attrs if v != null)
+      val kinds = mutable.HashMap.empty[String, Int]
+      for (attrs <- rows; (k, v) <- attrs if v != null)
         kinds(k) = kinds.getOrElse(k, 0) | (if (Attr.num(v).isDefined) 1 else 2)
       for ((k, kind) <- kinds)
         require(kind != 3, s"attribute key \"$k\" has both numeric and non-numeric values")
-      val columns = kinds.toSeq
-      val schema = columns.foldLeft(base) { case (s, (k, kind)) =>
-        s.add(k, if (kind == 1) DoubleType else StringType, nullable = true)
-      }
-      val cells = rows.map { case (fixed, attrs) =>
-        Row.fromSeq(fixed ++ columns.map { case (k, kind) =>
-          attrs.get(k).filter(_ != null)
-            .map(v => if (kind == 1) Double.box(Attr.num(v).get) else String.valueOf(v)).orNull
-        })
-      }
-      spark.createDataFrame(spark.sparkContext.parallelize(cells.toList), schema)
+      kinds.toSeq.sortBy(_._1).map { case (k, kind) => (k, kind == 1) }
     }
-    AttributedGraph(
-      table(new StructType().add("id", LongType, false).add("ntype", StringType, false),
-        nodeRows.map { case (id, t, m) => (Seq(id, t), m) }),
-      table(new StructType().add("src", LongType, false).add("dst", LongType, false)
-          .add("etype", StringType, false),
-        edgeRows.map { case (src, dst, t, m) => (Seq(src, dst, t), m) }))
+
+    val g = LocalGraph.build(keys(nodeRows.iterator.map(_._3)), keys(edgeRows.iterator.map(_._4)),
+      nodeRows, edgeRows)
+
+    val nodes = view(spark, new StructType().add("id", LongType, false).add("ntype", StringType, false),
+        g.nodeCols, g.numNodes, (g.ids, g.ntypes, g.ntypeOf)) {
+      case ((ids, ntypes, ntypeOf), i) => Seq(ids(i), ntypes(ntypeOf(i)))
+    }
+    val edges = view(spark, new StructType().add("src", LongType, false).add("dst", LongType, false)
+        .add("etype", StringType, false),
+        g.edgeCols, g.numEdges, (g.ids, g.edgeSrc, g.edgeDst, g.etypes, g.etypeOf)) {
+      case ((ids, src, dst, etypes, etypeOf), e) => Seq(ids(src(e)), ids(dst(e)), etypes(etypeOf(e)))
+    }
+    AttributedGraph(nodes, edges, Some(g))
+  }
+
+  /** A DataFrame of `rows` rows: row i is `fixed(table, i)`, the structural
+    * cells of `base`, then row i of every column of `cols`. Rows are made
+    * per partition from one broadcast of `(table, cols)`, in the partitions
+    * `parallelize` makes of a list of `rows` rows.
+    */
+  private def view[T](spark: SparkSession, base: StructType, cols: AttrColumns, rows: Int, table: T)(
+      fixed: (T, Int) => Seq[Any]): DataFrame = {
+    val schema = cols.names.zip(cols.columns).foldLeft(base) { case (s, (k, c)) =>
+      s.add(k, if (c.isInstanceOf[NumColumn]) DoubleType else StringType, nullable = true)
+    }
+    val sc = spark.sparkContext
+    val shared = sc.broadcast((table, cols))
+    val rdd = sc.parallelize(0 until rows, sc.defaultParallelism).mapPartitions { it =>
+      val (t, c) = shared.value
+      it.map(i => Row.fromSeq(fixed(t, i) ++ c.columns.map(_.get(i))))
+    }
+    spark.createDataFrame(rdd, schema)
   }
 }

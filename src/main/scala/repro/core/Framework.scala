@@ -37,9 +37,13 @@ object Framework {
     def avgTotalMillis: Double = avgSampleMillis + avgExtractMillis
   }
 
-  /** Ground truth H(G), computed on the full local mirror. */
+  /** Ground truth H(G), computed on the full local mirror. Its `values` is
+    * empty: a caller reads the estimate, the decision and the count, and
+    * keeping one value per relevant path of G would hold millions of
+    * doubles per hypothesis for as long as the truth is kept.
+    */
   def groundTruth(g: LocalGraph, h: Hypothesis): EvalResult =
-    LocalEvaluator.evaluate(g, h)
+    LocalEvaluator.evaluate(g, h).copy(values = Array.emptyDoubleArray)
 
   /** One run: sample S with the given budget, extract + aggregate on S, and
     * (for mean-style hypotheses) run the one-sample t-test against c.

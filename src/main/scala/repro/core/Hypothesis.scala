@@ -16,41 +16,42 @@ sealed trait CmpOp {
       case _                  => evalS(String.valueOf(l), String.valueOf(r))
     }
   }
-  protected def evalD(a: Double, b: Double): Boolean
-  protected def evalS(a: String, b: String): Boolean
+  /** The comparison of two numbers, and of two strings. */
+  def evalD(a: Double, b: Double): Boolean
+  def evalS(a: String, b: String): Boolean
   /** Render as a Spark SQL `Column` predicate. */
   def column(l: Column, r: Column): Column
 }
 
 object CmpOp {
   case object Eq extends CmpOp {
-    protected def evalD(a: Double, b: Double) = math.abs(a - b) <= 1e-9
-    protected def evalS(a: String, b: String) = a == b
+    def evalD(a: Double, b: Double) = math.abs(a - b) <= 1e-9
+    def evalS(a: String, b: String) = a == b
     def column(l: Column, r: Column): Column  = l === r
   }
   case object Ne extends CmpOp {
-    protected def evalD(a: Double, b: Double) = math.abs(a - b) > 1e-9
-    protected def evalS(a: String, b: String) = a != b
+    def evalD(a: Double, b: Double) = math.abs(a - b) > 1e-9
+    def evalS(a: String, b: String) = a != b
     def column(l: Column, r: Column): Column  = l =!= r
   }
   case object Gt extends CmpOp {
-    protected def evalD(a: Double, b: Double) = a > b
-    protected def evalS(a: String, b: String) = a > b
+    def evalD(a: Double, b: Double) = a > b
+    def evalS(a: String, b: String) = a > b
     def column(l: Column, r: Column): Column  = l > r
   }
   case object Lt extends CmpOp {
-    protected def evalD(a: Double, b: Double) = a < b
-    protected def evalS(a: String, b: String) = a < b
+    def evalD(a: Double, b: Double) = a < b
+    def evalS(a: String, b: String) = a < b
     def column(l: Column, r: Column): Column  = l < r
   }
   case object Ge extends CmpOp {
-    protected def evalD(a: Double, b: Double) = a >= b
-    protected def evalS(a: String, b: String) = a >= b
+    def evalD(a: Double, b: Double) = a >= b
+    def evalS(a: String, b: String) = a >= b
     def column(l: Column, r: Column): Column  = l >= r
   }
   case object Le extends CmpOp {
-    protected def evalD(a: Double, b: Double) = a <= b
-    protected def evalS(a: String, b: String) = a <= b
+    def evalD(a: Double, b: Double) = a <= b
+    def evalS(a: String, b: String) = a <= b
     def column(l: Column, r: Column): Column  = l <= r
   }
 }

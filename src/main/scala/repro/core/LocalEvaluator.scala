@@ -93,20 +93,24 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
     case UnitTarget           => (-1, -1, "")
   }
   // The numeric target of each row (node target) or entry (edge target) on
-  // some path, where `has` is set; a unit target is slot 0, 1.0.
+  // some path, where `has` is set; a unit target is slot 0, 1.0. A target
+  // attribute that is no double column gives no values.
   private val slots = if (nodePos >= 0) rows else if (edgeStep >= 0) off(rows) else 1
   private val target = new Array[Double](slots)
   private val has = new Array[Boolean](slots)
   locally {
+    val column = (if (nodePos >= 0) g.nodeCols(attr) else g.edgeCols(attr)) match {
+      case Some(c: NumColumn) => c
+      case _                  => null
+    }
+    // Slot k takes the column's value at row i, if there is one.
+    def fill(k: Int, i: Int): Unit = if (column.present.get(i)) { target(k) = column.values(i); has(k) = true }
     var k = 0
     while (k < slots) {
-      val x = Attr.num(
-        if (nodePos >= 0) { if (walk(nodePos)(k) > 0) g.nodeAttrs(nodes(k)).getOrElse(attr, null) else null }
-        else if (edgeStep < 0) 1.0
-        else if ((usable(k) & 1 << edgeStep) != 0 && walk(edgeStep + 1)(next(k)) > 0)
-          g.edgeAttrs(g.adjEdge(halves(k))).getOrElse(attr, null)
-        else null)
-      if (x.isDefined) { target(k) = x.get; has(k) = true }
+      if (nodePos >= 0) { if (column != null && walk(nodePos)(k) > 0) fill(k, nodes(k)) }
+      else if (edgeStep < 0) { target(k) = 1.0; has(k) = true }
+      else if (column != null && (usable(k) & 1 << edgeStep) != 0 && walk(edgeStep + 1)(next(k)) > 0)
+        fill(k, g.adjEdge(halves(k)))
       k += 1
     }
   }

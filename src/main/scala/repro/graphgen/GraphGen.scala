@@ -52,17 +52,18 @@ object GraphGen {
 
   /** Ensure every node appears in at least one edge by attaching isolated
     * nodes to a random already-connected node with the given edge type.
+    * Node ids are 0 to |V|-1.
     */
   private def connect(
       rng: Random,
       nodes: Seq[(Long, String, Map[String, Any])],
       edges: ArrayBuffer[(Long, Long, String, Map[String, Any])],
       attach: Map[String, (Long, String) => (Long, Long, String, Map[String, Any])]): Unit = {
-    val touched = new java.util.HashSet[Long]()
-    edges.foreach { e => touched.add(e._1); touched.add(e._2) }
+    val touched = new java.util.BitSet(nodes.length)
+    edges.foreach { e => touched.set(e._1.toInt); touched.set(e._2.toInt) }
     nodes.foreach { case (id, t, _) =>
-      if (!touched.contains(id))
-        attach.get(t).foreach { f => edges += f(id, t); touched.add(id) }
+      if (!touched.get(id.toInt))
+        attach.get(t).foreach { f => edges += f(id, t); touched.set(id.toInt) }
     }
   }
 

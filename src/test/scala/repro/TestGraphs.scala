@@ -52,32 +52,19 @@ object TestGraphs {
   lazy val tinyLocal: LocalGraph = LocalGraph.fromAttributed(tiny)
 
   /** [[tiny]] plus an author a4 without edges. */
-  lazy val tinyIsolatedLocal: LocalGraph = LocalGraph.fromAttributed(AttributedGraph.fromTuples(
-    spark, tinyNodes :+ ((4L, "author", Map[String, Any]("affiliation" -> "Other"))), tinyEdges))
+  lazy val tinyIsolated: AttributedGraph = AttributedGraph.fromTuples(
+    spark, tinyNodes :+ ((4L, "author", Map[String, Any]("affiliation" -> "Other"))), tinyEdges)
+  lazy val tinyIsolatedLocal: LocalGraph = LocalGraph.fromAttributed(tinyIsolated)
 
-  /** A graph of `n` untyped nodes without attributes and the given directed
-    * edges, in the CSR layout of `LocalGraph.fromAttributed`: each edge adds
-    * a forward half-edge at its source and a reverse one at its target, in
-    * edge order. Multi-edges and self-loops are kept.
+  /** A graph of `n` nodes of type "node" without attributes, ids 0 to n-1,
+    * and the given directed edges of type "edge", in the CSR layout every
+    * `LocalGraph` has: each edge adds a forward half-edge at its source and
+    * a reverse one at its target, in edge order. Multi-edges and self-loops
+    * are kept.
     */
-  def fromEdges(n: Int, edges: Seq[(Int, Int)]): LocalGraph = {
-    val src = edges.map(_._1).toArray
-    val dst = edges.map(_._2).toArray
-    val off = new Array[Int](n + 1)
-    for ((s, d) <- edges) { off(s + 1) += 1; off(d + 1) += 1 }
-    for (i <- 0 until n) off(i + 1) += off(i)
-    val cur = java.util.Arrays.copyOf(off, n)
-    val nbr = new Array[Int](2 * edges.length)
-    val edg = new Array[Int](2 * edges.length)
-    val fwd = new Array[Boolean](2 * edges.length)
-    for (((s, d), e) <- edges.zipWithIndex) {
-      nbr(cur(s)) = d; edg(cur(s)) = e; fwd(cur(s)) = true; cur(s) += 1
-      nbr(cur(d)) = s; edg(cur(d)) = e; cur(d) += 1
-    }
-    new LocalGraph(Array.tabulate(n)(_.toLong), Array("node"), new Array[Int](n),
-      Array.fill(n)(Map.empty[String, Any]), Array("edge"), src, dst, new Array[Int](edges.length),
-      Array.fill(edges.length)(Map.empty[String, Any]), off, nbr, edg, fwd)
-  }
+  def fromEdges(n: Int, edges: Seq[(Int, Int)]): LocalGraph =
+    LocalGraph.build(Nil, Nil, (0 until n).map(i => (i.toLong, "node", Map.empty[String, Any])),
+      edges.map { case (s, d) => (s.toLong, d.toLong, "edge", Map.empty[String, Any]) })
 
   /** Small generated datasets (deterministic, shared across suites). */
   lazy val mlSmall: AttributedGraph = GraphGen.movieLens(spark, scale = 0.05)

@@ -44,7 +44,7 @@ class ExtractDifferentialSpec extends SparkSpec with PropSupport {
       PathStep(et, reversed = !g.adjFwd(half))
     }.toVector
     val mods = nodes.map { v =>
-      val attrs = g.nodeAttrs(v).toSeq
+      val attrs = g.nodeCols.row(v).toSeq
       val preds =
         if (attrs.isEmpty || rng.nextBoolean()) Nil
         else { val (a, x) = pick(attrs, rng); Seq(AttrPred(a, pick(ops, rng), x)) }
@@ -55,11 +55,11 @@ class ExtractDifferentialSpec extends SparkSpec with PropSupport {
     val target = rng.nextInt(3) match {
       case 0 if halves.nonEmpty =>
         val s = rng.nextInt(halves.length)
-        EdgeAttrTarget(s, attrOf(g.edgeAttrs(g.adjEdge(halves(s)))))
+        EdgeAttrTarget(s, attrOf(g.edgeCols.row(g.adjEdge(halves(s)))))
       case 1 => UnitTarget
       case _ =>
         val p = rng.nextInt(nodes.length)
-        NodeAttrTarget(p, attrOf(g.nodeAttrs(nodes(p))))
+        NodeAttrTarget(p, attrOf(g.nodeCols.row(nodes(p))))
     }
     val agg = if (target == UnitTarget) Agg.Count else pick(aggs, rng)
     Hypothesis("random", PathSpec(mods, steps), target, agg, pick(ops, rng), rng.nextDouble())

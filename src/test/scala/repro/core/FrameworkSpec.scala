@@ -19,6 +19,18 @@ class FrameworkSpec extends SparkSpec {
     assert(a.estimate == b.estimate && a.decision == b.decision)
   }
 
+  test("groundTruth keeps no per-path values, and the estimate, count and decision of the evaluation") {
+    for ((name, g) <- Seq("MovieLens" -> TestGraphs.mlSmallLocal, "DBLP" -> lg, "Yelp" -> TestGraphs.yelpSmallLocal);
+         h <- Catalog.all(name).all) {
+      val truth = Framework.groundTruth(g, h)
+      val full = LocalEvaluator.evaluate(g, h)
+      assert(truth.values.isEmpty, h.name)
+      assert(full.values.nonEmpty || h.agg == Agg.Count, h.name)
+      assert(truth.estimate == full.estimate && truth.nRelevant == full.nRelevant &&
+        truth.decision == full.decision, h.name)
+    }
+  }
+
   test("runOnce returns sane fields") {
     val h = Catalog.dblp.node.head
     val out = Framework.runOnce(lg, h, RandomNodeSampler(), 300, new Random(1))

@@ -40,18 +40,18 @@ class LocalGraphSpec extends SparkSpec {
   test("node attributes preserved") {
     val p1 = g.indexOf(11L)
     assert(g.nodeType(p1) == "paper")
-    assert(Attr.num(g.nodeAttrs(p1)("citation")).contains(100.0))
-    assert(g.nodeAttrs(p1)("venue_type") == "conference")
+    assert(Attr.num(g.nodeCols.row(p1)("citation")).contains(100.0))
+    assert(g.nodeCols.row(p1)("venue_type") == "conference")
   }
   test("edge attributes preserved") {
     val withW = (0 until g.numEdges).filter(e => g.edgeType(e) == "WithDomain")
     assert(withW.size == 3)
-    val weights = withW.map(e => Attr.num(g.edgeAttrs(e)("weight")).get).sorted
+    val weights = withW.map(e => Attr.num(g.edgeCols.row(e)("weight")).get).sorted
     assert(weights == Seq(0.4, 0.6, 0.9))
   }
   test("absent attributes dropped from maps") {
     val a1 = g.indexOf(1L)
-    assert(!g.nodeAttrs(a1).contains("citation"))
+    assert(!g.nodeCols.row(a1).contains("citation"))
   }
   test("matches applies modifiers") {
     val conf = Modifier("paper", Seq(AttrPred("venue_type", CmpOp.Eq, "conference")))
@@ -77,7 +77,8 @@ class LocalGraphSpec extends SparkSpec {
     assert(g.labels(path)(1) eq lab(1))
     val papers = PathSpec(Vector(Modifier("paper")), Vector.empty)
     assert(g.labels(papers)(0) eq lab(1))
-    val other = LocalGraph.fromAttributed(TestGraphs.tiny).labels(papers)(0)
+    val tiny = TestGraphs.tiny
+    val other = LocalGraph.fromAttributed(AttributedGraph(tiny.nodes, tiny.edges)).labels(papers)(0)
     assert(!(other eq lab(1)) && other.sameElements(lab(1)))
   }
   test("halfEdgeMatches respects type and direction") {
@@ -99,6 +100,19 @@ class LocalGraphSpec extends SparkSpec {
       val e = lg.adjEdge(h)
       assert(lg.adjNbr(h) == (if (lg.adjFwd(h)) lg.edgeDst(e) else lg.edgeSrc(e)))
     }
+  }
+  test("the collect rejects an attribute column that is neither double nor string, by name") {
+    import spark.implicits._
+    val nodes = Seq((1L, "a", 5), (2L, "a", 6)).toDF("id", "ntype", "rank")
+    val edges = Seq((1L, 2L, "r", 7L)).toDF("src", "dst", "etype", "count")
+    val onNodes = intercept[IllegalArgumentException] {
+      LocalGraph.fromAttributed(AttributedGraph(nodes, edges.drop("count")))
+    }
+    assert(onNodes.getMessage.contains("\"rank\""), onNodes.getMessage)
+    val onEdges = intercept[IllegalArgumentException] {
+      LocalGraph.fromAttributed(AttributedGraph(nodes.drop("rank"), edges))
+    }
+    assert(onEdges.getMessage.contains("\"count\""), onEdges.getMessage)
   }
   test("SampledGraph membership") {
     val s = SampledGraph(Array(1, 3, 5))

@@ -4,8 +4,10 @@ import scala.collection.mutable.ArrayBuffer
 
 /** The slow reference for [[LocalEvaluator.extract]]: a typed DFS started
   * from every node of G in index order, which tests membership in S per
-  * node and per edge. It recomputes the modifier masks itself, so it shares
-  * no code with the fast path beyond `LocalGraph`'s CSR and `Modifier`.
+  * node and per edge. It matches modifiers and reads targets on each
+  * node's and edge's attribute map (`AttrColumns.row`) with
+  * `Modifier.matches` and `Attr.num`, so it shares no code with the fast
+  * path beyond `LocalGraph`'s CSR and its columns' cells.
   * Differential tests require the fast path to return the same values, in
   * the same order, and the same instance count.
   */
@@ -14,7 +16,7 @@ object ReferenceExtract {
   def apply(g: LocalGraph, h: Hypothesis, sample: Option[SampledGraph] = None): (Array[Double], Long) = {
     val path = h.path
     val l = path.length
-    val lab = path.modifiers.toArray.map(m => Array.tabulate(g.numNodes)(i => g.matches(i, m)))
+    val lab = path.modifiers.toArray.map(m => Array.tabulate(g.numNodes)(i => m.matches(g.nodeType(i), g.nodeCols.row(i))))
     val stepType = path.steps.map(s => g.etypes.indexOf(s.etype)).toArray
     // An edge type absent from the graph ⇒ zero relevant paths.
     if (stepType.exists(_ < 0)) return (Array.empty, 0L)
@@ -35,8 +37,8 @@ object ReferenceExtract {
     val chainEdges = new Array[Int](math.max(l, 1))
 
     def fValue(): Option[Double] = h.target match {
-      case NodeAttrTarget(p, attr) => g.nodeAttrs(chainNodes(p)).get(attr).flatMap(Attr.num)
-      case EdgeAttrTarget(s, attr) => g.edgeAttrs(chainEdges(s)).get(attr).flatMap(Attr.num)
+      case NodeAttrTarget(p, attr) => g.nodeCols.row(chainNodes(p)).get(attr).flatMap(Attr.num)
+      case EdgeAttrTarget(s, attr) => g.edgeCols.row(chainEdges(s)).get(attr).flatMap(Attr.num)
       case UnitTarget              => Some(1.0)
     }
 
