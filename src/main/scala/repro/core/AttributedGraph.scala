@@ -1,9 +1,12 @@
 package repro.core
 
+import org.apache.spark.{Partition, SparkContext, TaskContext}
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructType}
-import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** An attributed graph (paper Def. 1) backed by two DataFrames.
   *
@@ -14,10 +17,10 @@ import scala.collection.mutable
   * r^-1 is available implicitly (walkers may traverse edges backwards and
   * path steps may be declared `reversed`).
   *
-  * A graph made by [[AttributedGraph.fromTuples]] carries its driver-side
-  * [[LocalGraph]] in `local`, and its DataFrames are views of that graph's
-  * columns; one made from DataFrames alone carries none, and
-  * `LocalGraph.fromAttributed` collects it.
+  * A graph made by [[AttributedGraph.fromLocal]], as the generators make
+  * theirs, carries its driver-side [[LocalGraph]] in `local`, and its
+  * DataFrames are views of that graph's columns; one made from DataFrames
+  * alone carries none, and `LocalGraph.fromAttributed` collects it.
   */
 final case class AttributedGraph(nodes: DataFrame, edges: DataFrame,
     private[core] val local: Option[LocalGraph] = None) {
@@ -54,37 +57,13 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame,
 }
 
 object AttributedGraph {
-  /** Convenience constructor from in-memory tuples (generators, tests).
-    * `nodeRows` = (id, ntype, attrs); `edgeRows` = (src, dst, etype, attrs).
-    * Each distinct attribute key becomes one nullable column, in key order.
-    * A key whose values are all numeric (see [[Attr.num]]) becomes a double
-    * column, any other key a string column of `String.valueOf` its values.
-    * A key with both numeric and non-numeric values is rejected. A null value
-    * counts as absent; an absent value is null.
-    *
-    * The tuples fill one [[LocalGraph]], which the result carries. Each
-    * DataFrame reads that graph's columns through one broadcast, row i of
-    * partition p where `parallelize` would put it, so the driver keeps no
-    * rows.
+  /** The graph `g`, which the result carries, with DataFrames that are
+    * views of its columns: each reads them through one broadcast, made when
+    * a job first reads the view, row i of partition p where `parallelize`
+    * would put it. Each attribute column is one nullable double or string
+    * column, in key order; an absent value is null.
     */
-  def fromTuples(
-      spark: SparkSession,
-      nodeRows: Seq[(Long, String, Map[String, Any])],
-      edgeRows: Seq[(Long, Long, String, Map[String, Any])]): AttributedGraph = {
-    // The columns of some rows' keys, in key order: (key, numeric?).
-    def keys(rows: Iterator[Map[String, Any]]): Seq[(String, Boolean)] = {
-      // Per key, the kinds of its values: bit 0 numeric, bit 1 not numeric.
-      val kinds = mutable.HashMap.empty[String, Int]
-      for (attrs <- rows; (k, v) <- attrs if v != null)
-        kinds(k) = kinds.getOrElse(k, 0) | (if (Attr.num(v).isDefined) 1 else 2)
-      for ((k, kind) <- kinds)
-        require(kind != 3, s"attribute key \"$k\" has both numeric and non-numeric values")
-      kinds.toSeq.sortBy(_._1).map { case (k, kind) => (k, kind == 1) }
-    }
-
-    val g = LocalGraph.build(keys(nodeRows.iterator.map(_._3)), keys(edgeRows.iterator.map(_._4)),
-      nodeRows, edgeRows)
-
+  def fromLocal(spark: SparkSession, g: LocalGraph): AttributedGraph = {
     val nodes = view(spark, new StructType().add("id", LongType, false).add("ntype", StringType, false),
         g.nodeCols, g.numNodes, (g.ids, g.ntypes, g.ntypeOf)) {
       case ((ids, ntypes, ntypeOf), i) => Seq(ids(i), ntypes(ntypeOf(i)))
@@ -98,21 +77,41 @@ object AttributedGraph {
   }
 
   /** A DataFrame of `rows` rows: row i is `fixed(table, i)`, the structural
-    * cells of `base`, then row i of every column of `cols`. Rows are made
-    * per partition from one broadcast of `(table, cols)`, in the partitions
-    * `parallelize` makes of a list of `rows` rows.
+    * cells of `base`, then row i of every column of `cols`, in the
+    * partitions `parallelize` makes of a list of `rows` rows.
     */
   private def view[T](spark: SparkSession, base: StructType, cols: AttrColumns, rows: Int, table: T)(
       fixed: (T, Int) => Seq[Any]): DataFrame = {
     val schema = cols.names.zip(cols.columns).foldLeft(base) { case (s, (k, c)) =>
       s.add(k, if (c.isInstanceOf[NumColumn]) DoubleType else StringType, nullable = true)
     }
-    val sc = spark.sparkContext
-    val shared = sc.broadcast((table, cols))
-    val rdd = sc.parallelize(0 until rows, sc.defaultParallelism).mapPartitions { it =>
-      val (t, c) = shared.value
-      it.map(i => Row.fromSeq(fixed(t, i) ++ c.columns.map(_.get(i))))
-    }
-    spark.createDataFrame(rdd, schema)
+    spark.createDataFrame(new ViewRDD[(T, AttrColumns)](spark.sparkContext, rows, (table, cols), {
+      case ((t, c), i) => Row.fromSeq(fixed(t, i) ++ c.columns.map(_.get(i)))
+    }), schema)
   }
 }
+
+/** Rows 0 to `rows`-1, row i made by `row(value, i)`, in the partitions
+  * `parallelize` makes of a list of `rows` rows. `value` is broadcast once,
+  * when a job first plans the partitions, so the driver keeps no rows, and
+  * a view that nothing reads broadcasts nothing: its graph is freed as soon
+  * as it is dropped, not when Spark's cleaner removes the broadcast.
+  */
+private final class ViewRDD[T: ClassTag](sc: SparkContext, rows: Int, @transient value: T, row: (T, Int) => Row)
+    extends RDD[Row](sc, Nil) {
+  private var shared: Broadcast[T] = _
+
+  override protected def getPartitions: Array[Partition] = {
+    shared = sparkContext.broadcast(value)
+    val n = sparkContext.defaultParallelism
+    Array.tabulate[Partition](n)(p => ViewPartition(p, (p.toLong * rows / n).toInt, ((p + 1L) * rows / n).toInt))
+  }
+
+  override def compute(split: Partition, context: TaskContext): Iterator[Row] = {
+    val p = split.asInstanceOf[ViewPartition]
+    val v = shared.value
+    Iterator.range(p.from, p.until).map(row(v, _))
+  }
+}
+
+private final case class ViewPartition(index: Int, from: Int, until: Int) extends Partition

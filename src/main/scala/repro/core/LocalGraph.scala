@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.types.{DoubleType, StringType}
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types.{DoubleType, StringType, StructType}
 
 /** A compact driver-side mirror of an [[AttributedGraph]].
   *
@@ -14,7 +14,7 @@ import org.apache.spark.sql.types.{DoubleType, StringType}
   * The adjacency is the *undirected expansion*: each directed edge (u,v,r)
   * contributes a forward half-edge at u and a reverse half-edge at v (the
   * paper's implicit inverse relation r^-1). Attributes are columns, one per
-  * key ([[AttrColumns]]); every graph is made by [[LocalGraph.build]].
+  * key ([[AttrColumns]]); every graph is filled into a [[LocalGraph.Builder]].
   */
 final class LocalGraph private (
     val ids: Array[Long],                    // internal idx -> external id
@@ -98,51 +98,64 @@ object LocalGraph {
     }
   }
 
-  /** The graph of these nodes (id, type, attributes) and directed edges
-    * (source id, target id, type, attributes), indexed in the order given.
-    * `nodeKeys` and `edgeKeys` are the attribute columns (name, numeric?;
-    * see [[AttrColumns.apply]]). Type tables list the types in order of
-    * first use. Every edge endpoint must be a node id.
+  /** A graph as it is filled: the nodes `ids`, each given its type by
+    * `nodes.setType`, and directed edges between node indices, appended by
+    * [[addEdge]]. Attributes go into the columns of `nodes` and `edges`.
+    * `result` trims every array to |V| or |E| rows and lays out the CSR,
+    * its half-edges in edge order.
     */
-  def build(nodeKeys: Seq[(String, Boolean)], edgeKeys: Seq[(String, Boolean)],
-      nodes: Seq[(Long, String, Map[String, Any])],
-      edges: Seq[(Long, Long, String, Map[String, Any])]): LocalGraph = {
-    val ids = nodes.iterator.map(_._1).toArray
-    val (ntypes, ntypeOf) = AttrColumns.intern(nodes.iterator.map(_._2))
-    val (etypes, etypeOf) = AttrColumns.intern(edges.iterator.map(_._3))
-    val idToIdx = idIndex(ids)
-    val n = ids.length
-    val m = etypeOf.length
-    val eSrc, eDst = new Array[Int](m)
-    var i = 0
-    edges.foreach { case (src, dst, _, _) =>
-      eSrc(i) = idToIdx(src); eDst(i) = idToIdx(dst)
-      require(eSrc(i) >= 0 && eDst(i) >= 0, s"edge references unknown node: $src -> $dst")
-      i += 1
+  final class Builder(ids: Array[Long]) {
+    /** Nodes 0 to n-1, whose ids are their indices. */
+    def this(n: Int) = this { val ids = new Array[Long](n); for (i <- 0 until n) ids(i) = i; ids }
+
+    val nodes, edges = new TableBuilder
+    private val src, dst = new Ints
+    private var m = 0
+
+    /** Appends the edge `s` -> `d` of type `code` ([[TableBuilder.typeCode]]
+      * of `edges`) and returns its index.
+      */
+    def addEdge(s: Int, d: Int, code: Int): Int = {
+      require(s >= 0 && s < ids.length && d >= 0 && d < ids.length, s"edge between unknown nodes: $s -> $d")
+      src(m) = s; dst(m) = d
+      edges.setType(m, code)
+      m += 1
+      m - 1
     }
 
-    // Undirected-expansion CSR: two half-edges per directed edge.
-    val off = new Array[Int](n + 1)
-    i = 0
-    while (i < m) { off(eSrc(i) + 1) += 1; off(eDst(i) + 1) += 1; i += 1 }
-    i = 0
-    while (i < n) { off(i + 1) += off(i); i += 1 }
-    val cur = java.util.Arrays.copyOf(off, n)
-    val nbr, edg = new Array[Int](2 * m)
-    val fwd = new Array[Boolean](2 * m)
-    i = 0
-    while (i < m) {
-      val s = eSrc(i); val d = eDst(i)
-      nbr(cur(s)) = d; edg(cur(s)) = i; fwd(cur(s)) = true;  cur(s) += 1
-      nbr(cur(d)) = s; edg(cur(d)) = i; fwd(cur(d)) = false; cur(d) += 1
-      i += 1
+    /** The nodes that no edge added so far touches, in index order. */
+    def isolated(): Seq[Int] = {
+      val touched = new java.util.BitSet(ids.length)
+      for (e <- 0 until m) { touched.set(src(e)); touched.set(dst(e)) }
+      (0 until ids.length).filterNot(touched.get)
     }
-    new LocalGraph(ids, ntypes, ntypeOf, AttrColumns(nodeKeys, nodes.iterator.map(_._3).toArray),
-      etypes, eSrc, eDst, etypeOf, AttrColumns(edgeKeys, edges.iterator.map(_._4).toArray), off, nbr, edg, fwd)
+
+    def result(): LocalGraph = {
+      val (ntypes, ntypeOf, nodeCols) = nodes.result(ids.length)
+      val (etypes, etypeOf, edgeCols) = edges.result(m)
+      val (eSrc, eDst, n) = (src.result(m), dst.result(m), ids.length)
+      // Undirected-expansion CSR: two half-edges per directed edge.
+      val off = new Array[Int](n + 1)
+      var i = 0
+      while (i < m) { off(eSrc(i) + 1) += 1; off(eDst(i) + 1) += 1; i += 1 }
+      i = 0
+      while (i < n) { off(i + 1) += off(i); i += 1 }
+      val cur = java.util.Arrays.copyOf(off, n)
+      val nbr, edg = new Array[Int](2 * m)
+      val fwd = new Array[Boolean](2 * m)
+      i = 0
+      while (i < m) {
+        val s = eSrc(i); val d = eDst(i)
+        nbr(cur(s)) = d; edg(cur(s)) = i; fwd(cur(s)) = true;  cur(s) += 1
+        nbr(cur(d)) = s; edg(cur(d)) = i; fwd(cur(d)) = false; cur(d) += 1
+        i += 1
+      }
+      new LocalGraph(ids, ntypes, ntypeOf, nodeCols, etypes, eSrc, eDst, etypeOf, edgeCols, off, nbr, edg, fwd)
+    }
   }
 
   /** The driver-side graph of `g`: the one it carries, if
-    * [[AttributedGraph.fromTuples]] built it, else one collected from its
+    * [[AttributedGraph.fromLocal]] made it, else one collected from its
     * DataFrames. Attribute columns are all columns other than the
     * structural ones, and must be double or string columns; a null cell is
     * an absent attribute.
@@ -150,24 +163,42 @@ object LocalGraph {
   def fromAttributed(g: AttributedGraph): LocalGraph = g.local.getOrElse(collect(g))
 
   private def collect(g: AttributedGraph): LocalGraph = {
-    // The attribute columns of a DataFrame: name, numeric?
-    def keys(df: DataFrame, structural: Set[String]): Seq[(String, Boolean)] =
-      df.schema.fields.toSeq.filterNot(f => structural(f.name)).map { f =>
-        f.name -> (f.dataType match {
-          case DoubleType => true
-          case StringType => false
-          case t => throw new IllegalArgumentException(
-            s"attribute column \"${f.name}\" has type ${t.simpleString}; only double and string are supported")
-        })
+    val (ns, es) = (g.nodes.schema, g.edges.schema)
+    val nodeRows = g.nodes.collect()
+    val ids = nodeRows.map(_.getLong(ns.fieldIndex("id")))
+    val b = new Builder(ids)
+    val nodeCells = cells(b.nodes, ns, Set("id", "ntype"))
+    val t = ns.fieldIndex("ntype")
+    for (i <- nodeRows.indices) {
+      b.nodes.setType(i, b.nodes.typeCode(nodeRows(i).getString(t)))
+      nodeCells(i, nodeRows(i))
+    }
+    val edgeCells = cells(b.edges, es, Set("src", "dst", "etype"))
+    val (s, d, et) = (es.fieldIndex("src"), es.fieldIndex("dst"), es.fieldIndex("etype"))
+    val idToIdx = idIndex(ids)
+    for (r <- g.edges.collect()) {
+      val (u, v) = (idToIdx(r.getLong(s)), idToIdx(r.getLong(d)))
+      require(u >= 0 && v >= 0, s"edge references unknown node: ${r.getLong(s)} -> ${r.getLong(d)}")
+      edgeCells(b.addEdge(u, v, b.edges.typeCode(r.getString(et))), r)
+    }
+    b.result()
+  }
+
+  /** Writes row i's attribute cells into the columns of `table`: every
+    * field of `schema` but the `structural` ones, by index. A null cell is
+    * left unwritten.
+    */
+  private def cells(table: TableBuilder, schema: StructType, structural: Set[String]): (Int, Row) => Unit = {
+    val writers = schema.fields.indices.filterNot(j => structural(schema(j).name)).map[(Int, Row) => Unit] { j =>
+      val f = schema(j)
+      f.dataType match {
+        case DoubleType => val c = table.num(f.name); (i, r) => if (!r.isNullAt(j)) c(i) = r.getDouble(j)
+        case StringType => val c = table.str(f.name); (i, r) => if (!r.isNullAt(j)) c(i) = r.getString(j)
+        case other => throw new IllegalArgumentException(
+          s"attribute column \"${f.name}\" has type ${other.simpleString}; only double and string are supported")
       }
-    def attrs(r: Row, keys: Seq[(String, Boolean)]): Map[String, Any] =
-      keys.iterator.map(k => k._1 -> r.getAs[Any](k._1)).filter(_._2 != null).toMap
-    val nodeKeys = keys(g.nodes, Set("id", "ntype"))
-    val edgeKeys = keys(g.edges, Set("src", "dst", "etype"))
-    build(nodeKeys, edgeKeys,
-      g.nodes.collect().toSeq.map(r => (r.getAs[Long]("id"), r.getAs[String]("ntype"), attrs(r, nodeKeys))),
-      g.edges.collect().toSeq.map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"), r.getAs[String]("etype"),
-        attrs(r, edgeKeys))))
+    }
+    (i, r) => writers.foreach(_(i, r))
   }
 }
 

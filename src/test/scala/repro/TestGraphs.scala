@@ -2,7 +2,7 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{AttributedGraph, LocalGraph}
+import repro.core.{Attr, AttributedGraph, LocalGraph, TableBuilder}
 import repro.graphgen.GraphGen
 
 /** Shared small graphs, built once per test JVM (suites all reuse the one
@@ -21,7 +21,7 @@ object TestGraphs {
     *   edges:   Authorship: p->a; PublishedIn p1->v1 p2->v2 p3->v1;
     *            WithDomain p1->f1(0.9) p2->f2(0.4) p3->f1(0.6); Cites p1->p2.
     */
-  lazy val tiny: AttributedGraph = AttributedGraph.fromTuples(spark, tinyNodes, tinyEdges)
+  lazy val tiny: AttributedGraph = fromTuples(tinyNodes, tinyEdges)
 
   private val tinyNodes = Seq(
     (1L, "author", Map[String, Any]("affiliation" -> "MSR")),
@@ -52,9 +52,33 @@ object TestGraphs {
   lazy val tinyLocal: LocalGraph = LocalGraph.fromAttributed(tiny)
 
   /** [[tiny]] plus an author a4 without edges. */
-  lazy val tinyIsolated: AttributedGraph = AttributedGraph.fromTuples(
-    spark, tinyNodes :+ ((4L, "author", Map[String, Any]("affiliation" -> "Other"))), tinyEdges)
+  lazy val tinyIsolated: AttributedGraph =
+    fromTuples(tinyNodes :+ ((4L, "author", Map[String, Any]("affiliation" -> "Other"))), tinyEdges)
   lazy val tinyIsolatedLocal: LocalGraph = LocalGraph.fromAttributed(tinyIsolated)
+
+  /** The graph of these nodes (id, type, attributes) and directed edges
+    * (source id, target id, type, attributes), indexed in the order given.
+    * A key whose values are all numeric (see [[Attr.num]]) becomes a double
+    * column, any other key a string column of `String.valueOf` its values; a
+    * key with both numeric and non-numeric values is rejected. A null value
+    * counts as absent.
+    */
+  def fromTuples(nodes: Seq[(Long, String, Map[String, Any])],
+      edges: Seq[(Long, Long, String, Map[String, Any])]): AttributedGraph = {
+    val b = new LocalGraph.Builder(nodes.map(_._1).toArray)
+    def put(table: TableBuilder, i: Int, attrs: Map[String, Any]): Unit =
+      for ((k, v) <- attrs if v != null) Attr.num(v) match {
+        case Some(d) => table.num(k)(i) = d
+        case None    => table.str(k)(i) = String.valueOf(v)
+      }
+    for (((_, t, attrs), i) <- nodes.zipWithIndex) {
+      b.nodes.setType(i, b.nodes.typeCode(t))
+      put(b.nodes, i, attrs)
+    }
+    val index = nodes.map(_._1).zipWithIndex.toMap
+    for ((s, d, t, attrs) <- edges) put(b.edges, b.addEdge(index(s), index(d), b.edges.typeCode(t)), attrs)
+    AttributedGraph.fromLocal(spark, b.result())
+  }
 
   /** A graph of `n` nodes of type "node" without attributes, ids 0 to n-1,
     * and the given directed edges of type "edge", in the CSR layout every
@@ -62,9 +86,14 @@ object TestGraphs {
     * a reverse one at its target, in edge order. Multi-edges and self-loops
     * are kept.
     */
-  def fromEdges(n: Int, edges: Seq[(Int, Int)]): LocalGraph =
-    LocalGraph.build(Nil, Nil, (0 until n).map(i => (i.toLong, "node", Map.empty[String, Any])),
-      edges.map { case (s, d) => (s.toLong, d.toLong, "edge", Map.empty[String, Any]) })
+  def fromEdges(n: Int, edges: Seq[(Int, Int)]): LocalGraph = {
+    val b = new LocalGraph.Builder(n)
+    val node = b.nodes.typeCode("node")
+    (0 until n).foreach(b.nodes.setType(_, node))
+    val edge = b.edges.typeCode("edge")
+    edges.foreach { case (s, d) => b.addEdge(s, d, edge) }
+    b.result()
+  }
 
   /** Small generated datasets (deterministic, shared across suites). */
   lazy val mlSmall: AttributedGraph = GraphGen.movieLens(spark, scale = 0.05)

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.graphgen.GraphGen
 
 /** DataFrame-backed attributed graph model. */
 class AttributedGraphSpec extends SparkSpec {
@@ -44,9 +45,17 @@ class AttributedGraphSpec extends SparkSpec {
   test("fromTuples rejects a key with both numeric and non-numeric values") {
     val nodes = Seq((1L, "a", Map[String, Any]("x" -> "abc")), (2L, "a", Map[String, Any]("x" -> 5)))
     val e = intercept[IllegalArgumentException] {
-      AttributedGraph.fromTuples(spark, nodes, Seq((1L, 2L, "r", Map.empty[String, Any])))
+      TestGraphs.fromTuples(nodes, Seq((1L, 2L, "r", Map.empty[String, Any])))
     }
     assert(e.getMessage.contains("\"x\""), e.getMessage)
+  }
+  test("a generated graph whose DataFrames nothing read is freed once dropped") {
+    // Its views broadcast the columns only when a job first reads them, so
+    // no broadcast keeps them until Spark's cleaner gets to it.
+    def dropped() = new java.lang.ref.WeakReference(LocalGraph.fromAttributed(GraphGen.yelp(spark, 0.02)).edgeCols)
+    val cols = dropped()
+    (0 until 3).foreach(_ => System.gc())
+    assert(cols.get == null)
   }
   test("constructor validates required columns") {
     intercept[IllegalArgumentException] {

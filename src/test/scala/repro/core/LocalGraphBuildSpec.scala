@@ -5,8 +5,8 @@ import org.apache.spark.sql.types.{DoubleType, LongType, StringType, StructField
 import repro.{SparkSpec, TestGraphs}
 import repro.hypotheses.Catalog
 
-/** The graph `fromTuples` builds from its tuples, against the reference that
-  * collects the same graph back from its DataFrames.
+/** The graph a generator or `TestGraphs.fromTuples` fills, against the
+  * reference that collects the same graph back from its DataFrames.
   */
 class LocalGraphBuildSpec extends SparkSpec {
 
@@ -56,6 +56,21 @@ class LocalGraphBuildSpec extends SparkSpec {
       same("edgeAttrs", g.edgeAttrs, ref.edgeAttrs)
       assert(g.nodeAttrs.exists(_.nonEmpty) && g.nodeCols.names.sameElements(ref.nodeCols.names), name)
       for (i <- 0 until g.numNodes) assert(g.indexOf(g.ids(i)) == i && ref.indexOf(ref.ids(i)) == i, name)
+    }
+  }
+
+  test("every kept array has exactly |V| or |E| cells, and no presence bit past the last row") {
+    for ((name, (ag, _)) <- graphs;
+         (how, g) <- Seq("carried" -> LocalGraph.fromAttributed(ag),
+           "collected" -> LocalGraph.fromAttributed(AttributedGraph(ag.nodes, ag.edges)))) {
+      val what = s"$name ($how)"
+      assert(g.ntypeOf.length == g.numNodes, what)
+      assert(g.edgeDst.length == g.numEdges && g.etypeOf.length == g.numEdges, what)
+      for ((cols, rows) <- Seq(g.nodeCols -> g.numNodes, g.edgeCols -> g.numEdges);
+           (k, c) <- cols.names.zip(cols.columns)) c match {
+        case c: NumColumn => assert(c.values.length == rows && c.present.length <= rows, s"$what: $k")
+        case c: StrColumn => assert(c.codes.length == rows, s"$what: $k")
+      }
     }
   }
 

@@ -54,15 +54,11 @@ class GraphGoldenSpec extends SparkSpec {
     ("DBLP", 0.25, Some(8L), "07e0bc77da1feb9d"),
     ("Yelp", 0.25, Some(9L), "3ba35040dc862c7b"))
 
-  private def generate(name: String, scale: Double, seed: Option[Long]): AttributedGraph =
-    (name, seed) match {
-      case ("MovieLens", None)    => GraphGen.movieLens(spark, scale)
-      case ("MovieLens", Some(s)) => GraphGen.movieLens(spark, scale, s)
-      case ("DBLP", None)         => GraphGen.dblp(spark, scale)
-      case ("DBLP", Some(s))      => GraphGen.dblp(spark, scale, s)
-      case ("Yelp", None)         => GraphGen.yelp(spark, scale)
-      case ("Yelp", Some(s))      => GraphGen.yelp(spark, scale, s)
-    }
+  private def generate(name: String, scale: Double, seed: Option[Long]): AttributedGraph = name match {
+    case "MovieLens" => seed.fold(GraphGen.movieLens(spark, scale))(GraphGen.movieLens(spark, scale, _))
+    case "DBLP"      => seed.fold(GraphGen.dblp(spark, scale))(GraphGen.dblp(spark, scale, _))
+    case "Yelp"      => seed.fold(GraphGen.yelp(spark, scale))(GraphGen.yelp(spark, scale, _))
+  }
 
   for ((name, scale, seed, want) <- cases)
     test(s"$name at scale $scale, seed ${seed.fold("default")(_.toString)}, matches its recorded hash") {
