@@ -64,7 +64,7 @@ private[core] final class Ints {
   def apply(i: Int): Int = a(i)
 
   def update(i: Int, v: Int): Unit = {
-    if (i >= a.length) a = Ints.grown(a, math.max(i + 1, 2 * a.length))
+    if (i >= a.length) a = resized(math.max(i + 1, 2 * a.length))
     a(i) = v
   }
 
@@ -73,13 +73,11 @@ private[core] final class Ints {
     var i = n
     while (i < a.length && a(i) < 0) i += 1
     require(i >= a.length, s"row $i written past $n rows")
-    Ints.grown(a, n)
+    resized(n)
   }
-}
 
-private object Ints {
-  /** The first `n` cells of `a`, padded with -1. */
-  def grown(a: Array[Int], n: Int): Array[Int] = {
+  /** The first `n` cells, padded with -1. */
+  private def resized(n: Int): Array[Int] = {
     val b = java.util.Arrays.copyOf(a, n)
     if (n > a.length) java.util.Arrays.fill(b, a.length, n, -1)
     b
