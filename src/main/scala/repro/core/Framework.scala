@@ -38,15 +38,16 @@ object Framework {
   }
 
   /** Ground truth H(G), computed on the full local mirror. Its `values` is
-    * empty: a caller reads the estimate, the decision and the count, and
-    * keeping one value per relevant path of G would hold millions of
-    * doubles per hypothesis for as long as the truth is kept.
+    * empty, neither values nor multiplicities: a caller reads the estimate,
+    * the decision and the count, and the pairs of G would be held for as
+    * long as the truth is kept.
     */
   def groundTruth(g: LocalGraph, h: Hypothesis): EvalResult =
-    LocalEvaluator.evaluate(g, h).copy(values = Array.emptyDoubleArray)
+    LocalEvaluator.evaluate(g, h).copy(values = Values.empty)
 
   /** One run: sample S with the given budget, extract + aggregate on S, and
-    * (for mean-style hypotheses) run the one-sample t-test against c.
+    * (for mean-style hypotheses) run the one-sample t-test against c, on
+    * the (value, multiplicity) pairs of S with the Avg estimate as its mean.
     */
   def runOnce(g: LocalGraph, h: Hypothesis, sampler: Sampler, budget: Int,
               rng: Random): RunOutcome = {

@@ -90,7 +90,7 @@ object SparkEvaluator {
         case Agg.Min             => d(4)
         case Agg.Max             => d(5)
       }
-      EvalResult(est, nPaths, est.map(h.decide), Array.empty)
+      EvalResult(est, nPaths, est.map(h.decide), Values.empty)
     } finally {
       paths.unpersist()
     }

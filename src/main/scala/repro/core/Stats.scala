@@ -126,6 +126,9 @@ object Stats {
     s
   }
 
+  /** [[tTest]] of `values`, each once. */
+  def tTest(values: Array[Double], c: Double, op: CmpOp): TTest = tTest(Values(values), c, op)
+
   /** One-sample t-test outcome for a hypothesis mean against constant c. */
   final case class TTest(
       n: Int,
@@ -141,17 +144,21 @@ object Stats {
     * `op` (Gt: mean > c; Lt: mean < c; Eq/Ne: two-sided). Also returns the
     * 1-alpha confidence interval on the mean. Degenerate inputs (n < 2 or
     * zero variance) yield a point CI and a 0/1 p-value by direct comparison.
-    * A caller that has the mean, `sum(values) / n` (the Avg aggregate),
-    * passes it as `knownMean`: one pass over the values instead of two.
+    * The values are (value, multiplicity) pairs, n their count; each pair's
+    * squared deviation counts `mult` times, so with every multiplicity 1 the
+    * result is that of the plain two-pass formulas, bit for bit. A caller
+    * that has the mean, `values.sum / n` (the Avg aggregate), passes it as
+    * `knownMean`: one pass over the pairs instead of two.
     */
-  def tTest(values: Array[Double], c: Double, op: CmpOp, alpha: Double = 0.05,
+  def tTest(values: Values, c: Double, op: CmpOp, alpha: Double = 0.05,
       knownMean: Option[Double] = None): TTest = {
     require(values.nonEmpty, "t-test needs at least one value")
-    val n = values.length
-    val mean = knownMean.getOrElse(sum(values) / n)
-    var ss = (values(0) - mean) * (values(0) - mean) // squared deviations, added as `sum` adds
-    var i = 1
-    while (i < n) { val d = values(i) - mean; ss += d * d; i += 1 }
+    require(values.count <= Int.MaxValue, s"t-test of ${values.count} values, more than an Int counts")
+    val n = values.count.toInt
+    val mean = knownMean.getOrElse(values.sum / n)
+    var ss = 0.0 // squared deviations, added as `sum` adds (none is -0.0)
+    var i = 0
+    while (i < values.size) { val d = values.value(i) - mean; ss += values.mult(i) * (d * d); i += 1 }
     val variance = if (n < 2) 0.0 else ss / (n - 1)
     val sd = math.sqrt(variance)
     val se = sd / math.sqrt(n.toDouble)

@@ -24,7 +24,7 @@ class FrameworkSpec extends SparkSpec {
          h <- Catalog.all(name).all) {
       val truth = Framework.groundTruth(g, h)
       val full = LocalEvaluator.evaluate(g, h)
-      assert(truth.values.isEmpty, h.name)
+      assert(truth.values.isEmpty && truth.values.count == 0 && (truth.values eq Values.empty), h.name)
       assert(full.values.nonEmpty || h.agg == Agg.Count, h.name)
       assert(truth.estimate == full.estimate && truth.nRelevant == full.nRelevant &&
         truth.decision == full.decision, h.name)

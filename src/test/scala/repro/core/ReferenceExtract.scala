@@ -8,8 +8,9 @@ import scala.collection.mutable.ArrayBuffer
   * node's and edge's attribute map (`AttrColumns.row`) with
   * `Modifier.matches` and `Attr.num`, so it shares no code with the fast
   * path beyond `LocalGraph`'s CSR and its columns' cells.
-  * Differential tests require the fast path to return the same values, in
-  * the same order, and the same instance count.
+  * Differential tests require the fast path to return the same instance
+  * count, and the same values: in the same order where it enumerates the
+  * paths, as a multiset where it counts them (two-step paths).
   */
 object ReferenceExtract {
 
@@ -82,6 +83,23 @@ object ReferenceExtract {
     }
     (values.toArray, nPaths)
   }
+
+  /** `values` with each pair's value repeated by its multiplicity, in pair
+    * order.
+    */
+  def expand(values: Values): Array[Double] = {
+    val out = new ArrayBuffer[Double]()
+    for (i <- 0 until values.size; _ <- 0L until values.mult(i)) out += values.value(i)
+    out.toArray
+  }
+
+  /** `values` as (value, multiplicity) pairs, in pair order. */
+  def pairs(values: Values): Seq[(Double, Long)] = (0 until values.size).map(i => (values.value(i), values.mult(i)))
+
+  /** The values' bits, sorted: equal for two arrays with the same multiset
+    * of values, -0.0 and 0.0 apart.
+    */
+  def multiset(values: Array[Double]): Seq[Long] = values.map(java.lang.Double.doubleToRawLongBits).sorted.toSeq
 
   /** The non-null f values of [[SparkEvaluator.relevantPaths]], in no set
     * order: the Catalyst side's t-test inputs, collected to the driver.

@@ -197,4 +197,53 @@ class StatsSpec extends AnyFunSuite with PropSupport {
     val p2 = Stats.tTest(base.map(_ + 1.0), 0.0, CmpOp.Gt).pValue
     assert(p2 < p1)
   }
+
+  // ------------------------------------------------- (value, multiplicity)
+
+  private def expanded(vs: Array[Double], ms: Array[Long]): Array[Double] =
+    vs.indices.toArray.flatMap(i => Array.fill(ms(i).toInt)(vs(i)))
+
+  test("tTest of pairs of multiplicity 1 equals tTest of the values, bit for bit") {
+    val rng = new scala.util.Random(5)
+    Seq.fill(50)(Array.fill(1 + rng.nextInt(50))(rng.nextGaussian() * 100)).foreach { v =>
+      val (a, b) = (Stats.tTest(Values(v, Array.fill(v.length)(1L)), 0.5, CmpOp.Gt), Stats.tTest(v, 0.5, CmpOp.Gt))
+      assert(a.productIterator.toSeq.map {
+        case x: Double => java.lang.Double.doubleToRawLongBits(x)
+        case n: Int    => n.toLong
+      } == b.productIterator.toSeq.map {
+        case x: Double => java.lang.Double.doubleToRawLongBits(x)
+        case n: Int    => n.toLong
+      }, v.toSeq)
+    }
+  }
+  test("tTest of pairs equals tTest of the expanded values within 1e-11 relative") {
+    // Non-dyadic values, so sums in another order differ in their last bits;
+    // two or more distinct ones, so the variance is not zero.
+    val rng = new scala.util.Random(6)
+    for (op <- Seq(CmpOp.Gt, CmpOp.Lt, CmpOp.Eq); _ <- 1 to 30) {
+      val k = 2 + rng.nextInt(40)
+      val vs = Array.fill(k)(0.1 + rng.nextDouble() * 7.3)
+      val ms = Array.fill(k)(1L + rng.nextInt(60))
+      val c = 0.1 + rng.nextDouble() * 7.3
+      val (a, b) = (Stats.tTest(Values(vs, ms), c, op), Stats.tTest(expanded(vs, ms), c, op))
+      def close(x: Double, y: Double) = math.abs(x - y) <= 1e-11 * math.max(math.abs(y), 1e-300)
+      assert(a.n == b.n && a.n == ms.sum, (a, b))
+      assert(close(a.mean, b.mean) && close(a.sd, b.sd) && close(a.stderr, b.stderr) && close(a.tStat, b.tStat) &&
+        close(a.ciLow, b.ciLow) && close(a.ciHigh, b.ciHigh) && math.abs(a.pValue - b.pValue) <= 1e-11, (a, b))
+    }
+  }
+  test("tTest of one value with multiplicity above 1 is degenerate") {
+    val r = Stats.tTest(Values(Array(5.0), Array(4L)), 4.0, CmpOp.Gt)
+    assert(r == Stats.tTest(Array.fill(4)(5.0), 4.0, CmpOp.Gt))
+    assert(r.n == 4 && r.sd == 0.0 && r.stderr == 0.0 && r.pValue == 0.0 && r.ciLow == 5.0 && r.ciHigh == 5.0)
+  }
+  test("tTest of pairs with zero variance") {
+    val r = Stats.tTest(Values(Array(2.0, 2.0), Array(3L, 7L)), 1.0, CmpOp.Gt)
+    assert(r.n == 10 && r.mean == 2.0 && r.stderr == 0.0 && r.pValue == 0.0)
+  }
+  test("tTest rejects more values than an Int counts, and pairs need multiplicity 1 or more") {
+    assert(Stats.tTest(Values(Array(1.0), Array(Int.MaxValue.toLong)), 0.0, CmpOp.Gt).n == Int.MaxValue)
+    intercept[IllegalArgumentException](Stats.tTest(Values(Array(1.0, 2.0), Array(Int.MaxValue.toLong, 1L)), 0.0, CmpOp.Gt))
+    intercept[IllegalArgumentException](Values(Array(1.0, 2.0), Array(1L, 0L)))
+  }
 }
