@@ -80,7 +80,8 @@ object Values {
   *    relevant but contribute no value.
   *
   * Cost: one adjacency is built per call, over S's nodes, or over all of V
-  * for H(G) (§7 of DESIGN.md). Two-step paths, every path hypothesis of the
+  * for H(G) (§7 of DESIGN.md): one bit test per scanned half-edge, and a
+  * read of its step code only behind a usable head. Two-step paths, every path hypothesis of the
   * catalog, are counted per middle node in O(entries of that adjacency),
   * whatever their number, and their values come as (value, multiplicity)
   * pairs. Paths of other lengths are enumerated by a typed DFS, a few ns per
@@ -183,6 +184,21 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
     val edges = sample.flatMap(_.edgeIdx).map { es =>
       val b = new java.util.BitSet(); es.foreach(e => if (e >= 0) b.set(e)); b
     }.orNull
+    // heads(p): the nodes of S in head(p)'s mask, one bit per node of G, and
+    // `any` their union: a half-edge to a node outside `any` realizes no
+    // step, and its step code is not read. code(p): the step code of bit p.
+    val heads = Array.fill(bits)(new Array[Long]((g.numNodes >> 6) + 1))
+    val any = if (bits == 0) null else new Array[Long]((g.numNodes >> 6) + 1)
+    val code = Array.tabulate(bits)(p => LocalGraph.stepCode(step(p), stepType(p)))
+    if (bits > 0) {
+      var i = 0
+      while (i < nodes.length) {
+        val v = nodes(i)
+        var p = 0
+        while (p < bits) { if (head(p)(v)) { heads(p)(v >> 6) |= 1L << v; any(v >> 6) |= 1L << v }; p += 1 }
+        i += 1
+      }
+    }
     // Bit p set: node v is in tail(p)'s mask, so it may start a bit-p entry.
     def tails(v: Int): Int = { var set, p = 0; while (p < bits) { if (tail(p)(v)) set |= 1 << p; p += 1 }; set }
     val off = new Array[Int](nodes.length + 1)
@@ -198,13 +214,14 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
       var half = if (from == 0) g.adjOff(nodes(r) + 1) else g.adjOff(nodes(r))
       while (half < g.adjOff(nodes(r) + 1)) {
         val u = g.adjNbr(half)
-        if ((words == null || (words(u >> 6) & 1L << u) != 0) && (edges == null || edges.get(g.adjEdge(half)))) {
+        if ((any(u >> 6) & 1L << u) != 0) {
+          val c = g.adjCode(half)
           var set, p = 0
           while (p < bits) {
-            if ((from & 1 << p) != 0 && g.halfEdgeMatches(half, step(p), stepType(p)) && head(p)(u)) set |= 1 << p
+            if ((from & 1 << p) != 0 && (heads(p)(u >> 6) & 1L << u) != 0 && c == code(p)) set |= 1 << p
             p += 1
           }
-          if (set != 0) {
+          if (set != 0 && (edges == null || edges.get(g.adjEdge(half)))) {
             if (k == halves.length) {
               halves = java.util.Arrays.copyOf(halves, 2 * k)
               next = java.util.Arrays.copyOf(next, 2 * k)

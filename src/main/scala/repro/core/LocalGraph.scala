@@ -13,8 +13,14 @@ import org.apache.spark.sql.types.{DoubleType, StringType, StructType}
   *
   * The adjacency is the *undirected expansion*: each directed edge (u,v,r)
   * contributes a forward half-edge at u and a reverse half-edge at v (the
-  * paper's implicit inverse relation r^-1). Attributes are columns, one per
-  * key ([[AttrColumns]]); every graph is filled into a [[LocalGraph.Builder]].
+  * paper's implicit inverse relation r^-1). Each half-edge carries one byte,
+  * its step code `adjCode`: 2·etype + 1 if it follows the stored direction,
+  * 2·etype if not. Whether a half-edge realizes a typed, directed path step
+  * is then one byte compare ([[halfEdgeMatches]]) with no read of the edge's
+  * type, at the memory a direction flag per half-edge would take. Attributes
+  * are columns, one per key ([[AttrColumns]]); every graph is filled into a
+  * [[LocalGraph.Builder]], which allows at most 64 edge types, so that every
+  * code fits a byte.
   */
 final class LocalGraph private (
     val ids: Array[Long],                    // internal idx -> external id
@@ -29,7 +35,7 @@ final class LocalGraph private (
     val adjOff: Array[Int],                  // CSR offsets, length n+1
     val adjNbr: Array[Int],                  // neighbor internal idx
     val adjEdge: Array[Int],                 // underlying edge idx
-    val adjFwd: Array[Boolean]) {            // true: half-edge follows stored direction
+    val adjCode: Array[Byte]) {              // step code: 2·etypeOf(adjEdge) + (1 if it follows the stored direction)
 
   val numNodes: Int = ids.length
   val numEdges: Int = edgeSrc.length
@@ -41,6 +47,9 @@ final class LocalGraph private (
   def indexOf(id: Long): Int = idToIdx(id)
 
   def degree(i: Int): Int = adjOff(i + 1) - adjOff(i)
+
+  /** True iff half-edge `half` follows its edge's stored direction. */
+  def adjFwd(half: Int): Boolean = (adjCode(half) & 1) != 0
 
   /** The largest degree of any node (0 without nodes). */
   lazy val maxDegree: Int = (0 until numNodes).foldLeft(0)((d, i) => math.max(d, degree(i)))
@@ -76,13 +85,19 @@ final class LocalGraph private (
   def labels(path: PathSpec): Array[Array[Boolean]] = path.modifiers.toArray.map(mask)
 
   /** Half-edge matches a declared step if the underlying edge type agrees and
-    * the traversal direction matches the step's declared direction.
+    * the traversal direction matches the step's declared direction: one
+    * compare of its byte in `adjCode` against [[LocalGraph.stepCode]].
     */
   def halfEdgeMatches(half: Int, step: PathStep, etypeIdx: Int): Boolean =
-    etypeOf(adjEdge(half)) == etypeIdx && adjFwd(half) != step.reversed
+    adjCode(half) == LocalGraph.stepCode(step, etypeIdx)
 }
 
 object LocalGraph {
+  /** The `adjCode` of the half-edges that realize `step` over edge type
+    * `etypeIdx`; no half-edge has it if the index is negative.
+    */
+  def stepCode(step: PathStep, etypeIdx: Int): Int = 2 * etypeIdx + (if (step.reversed) 0 else 1)
+
   /** External id -> internal index (-1 if absent): an offset when the ids
     * are consecutive, as the generators make them, else a hash map.
     */
@@ -133,6 +148,7 @@ object LocalGraph {
     def result(): LocalGraph = {
       val (ntypes, ntypeOf, nodeCols) = nodes.result(ids.length)
       val (etypes, etypeOf, edgeCols) = edges.result(m)
+      require(etypes.length <= 64, s"${etypes.length} edge types; a step code holds at most 64")
       val (eSrc, eDst, n) = (src.result(m), dst.result(m), ids.length)
       // Undirected-expansion CSR: two half-edges per directed edge.
       val off = new Array[Int](n + 1)
@@ -142,15 +158,15 @@ object LocalGraph {
       while (i < n) { off(i + 1) += off(i); i += 1 }
       val cur = java.util.Arrays.copyOf(off, n)
       val nbr, edg = new Array[Int](2 * m)
-      val fwd = new Array[Boolean](2 * m)
+      val code = new Array[Byte](2 * m)
       i = 0
       while (i < m) {
-        val s = eSrc(i); val d = eDst(i)
-        nbr(cur(s)) = d; edg(cur(s)) = i; fwd(cur(s)) = true;  cur(s) += 1
-        nbr(cur(d)) = s; edg(cur(d)) = i; fwd(cur(d)) = false; cur(d) += 1
+        val s = eSrc(i); val d = eDst(i); val c = 2 * etypeOf(i)
+        nbr(cur(s)) = d; edg(cur(s)) = i; code(cur(s)) = (c + 1).toByte; cur(s) += 1
+        nbr(cur(d)) = s; edg(cur(d)) = i; code(cur(d)) = c.toByte;       cur(d) += 1
         i += 1
       }
-      new LocalGraph(ids, ntypes, ntypeOf, nodeCols, etypes, eSrc, eDst, etypeOf, edgeCols, off, nbr, edg, fwd)
+      new LocalGraph(ids, ntypes, ntypeOf, nodeCols, etypes, eSrc, eDst, etypeOf, edgeCols, off, nbr, edg, code)
     }
   }
 

@@ -26,19 +26,23 @@ object SamplerUtil {
   }
 
   /** k distinct indices drawn uniformly from 0 until n, in draw order: the
-    * first k places of a partial Fisher-Yates shuffle, one `nextInt` per
-    * place. Shuffling starts from the identity permutation, so a call takes
-    * O(n) time and space, not O(k).
+    * first k places of a partial Fisher-Yates shuffle of the identity
+    * permutation, one `nextInt` per place. Only the places a swap has moved
+    * are stored, in a map from place to index, so a call takes O(k) time and
+    * space, not O(n).
     */
   def partialShuffle(n: Int, k: Int, rng: Random): Array[Int] = {
-    val idx = Array.range(0, n)
+    val moved = new java.util.HashMap[Int, Int](2 * k)
+    val out = new Array[Int](k)
     var i = 0
     while (i < k) {
       val j = i + rng.nextInt(n - i)
-      val t = idx(i); idx(i) = idx(j); idx(j) = t
+      // Place i is never read again: later swaps lie past it.
+      out(i) = moved.getOrDefault(j, j)
+      moved.put(j, moved.getOrDefault(i, i))
       i += 1
     }
-    java.util.Arrays.copyOfRange(idx, 0, k)
+    out
   }
 
   def uniformNode(g: LocalGraph, rng: Random): Int = rng.nextInt(g.numNodes)

@@ -51,7 +51,7 @@ class LocalGraphBuildSpec extends SparkSpec {
       same("adjOff", g.adjOff, ref.adjOff)
       same("adjNbr", g.adjNbr, ref.adjNbr)
       same("adjEdge", g.adjEdge, ref.adjEdge)
-      same("adjFwd", g.adjFwd, ref.adjFwd)
+      same("adjCode", g.adjCode, ref.adjCode)
       same("nodeAttrs", g.nodeAttrs, ref.nodeAttrs)
       same("edgeAttrs", g.edgeAttrs, ref.edgeAttrs)
       assert(g.nodeAttrs.exists(_.nonEmpty) && g.nodeCols.names.sameElements(ref.nodeCols.names), name)

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestGraphs}
+import repro.graphgen.GraphGen
 
 /** CSR mirror correctness: degrees, half-edge direction/type, labels. */
 class LocalGraphSpec extends SparkSpec {
@@ -90,6 +91,62 @@ class LocalGraphSpec extends SparkSpec {
       assert(!g.halfEdgeMatches(h, PathStep("Authorship", reversed = false), auth))
     }
   }
+  /** A graph of 30 nodes and edges of four types: random edges, a fifth of
+    * them repeated (multi-edges), and a self-loop on every fourth node.
+    */
+  private def handBuilt(seed: Int): LocalGraph = {
+    val rng = new scala.util.Random(seed)
+    val n = 30
+    val b = new LocalGraph.Builder(n)
+    val node = b.nodes.typeCode("node")
+    (0 until n).foreach(b.nodes.setType(_, node))
+    val types = (0 until 4).map(t => b.edges.typeCode(s"r$t"))
+    val random = Seq.fill(100)((rng.nextInt(n), rng.nextInt(n)))
+    for ((s, d) <- random ++ random.take(20) ++ (0 until n by 4).map(v => (v, v)))
+      b.addEdge(s, d, types(rng.nextInt(types.length)))
+    b.result()
+  }
+
+  test("each half-edge's code is 2·type + direction, and halfEdgeMatches reads type and direction from it") {
+    val scale1 = Seq(
+      "MovieLens" -> GraphGen.movieLens(spark, scale = 1.0),
+      "DBLP" -> GraphGen.dblp(spark, scale = 1.0),
+      "Yelp" -> GraphGen.yelp(spark, scale = 1.0)).map { case (d, ag) => d -> LocalGraph.fromAttributed(ag) }
+    for ((name, g) <- (1 to 3).map(s => s"hand-built $s" -> handBuilt(s)) ++ scale1) {
+      // The forward half-edge of an edge is the first of its half-edges in
+      // its source's row (a self-loop has both there).
+      val seen = new java.util.BitSet(g.numEdges)
+      var bad = 0
+      for (v <- 0 until g.numNodes; h <- g.adjOff(v) until g.adjOff(v + 1)) {
+        val e = g.adjEdge(h)
+        val fwd = g.edgeSrc(e) == v && !seen.get(e)
+        if (g.edgeSrc(e) == v) seen.set(e)
+        if (g.adjCode(h) != 2 * g.etypeOf(e) + (if (fwd) 1 else 0) || g.adjFwd(h) != fwd) bad += 1
+        for (t <- -1 to g.etypes.length; r <- Seq(false, true))
+          if (g.halfEdgeMatches(h, PathStep("any", reversed = r), t) != (g.etypeOf(e) == t && fwd != r)) bad += 1
+      }
+      assert(bad == 0, s"$name: $bad mismatches")
+      assert(seen.cardinality == g.numEdges, name)
+    }
+  }
+
+  test("a graph may have 64 edge types, not 65") {
+    def build(types: Int): LocalGraph = {
+      val b = new LocalGraph.Builder(2)
+      val node = b.nodes.typeCode("node")
+      b.nodes.setType(0, node); b.nodes.setType(1, node)
+      for (t <- 0 until types) b.addEdge(0, 1, b.edges.typeCode(s"r$t"))
+      b.result()
+    }
+    val g = build(64)
+    // Edge 63 is of type 63: codes 127 forward and 126 back.
+    assert(g.adjCode(g.adjOff(0) + 63) == 127 && g.adjCode(g.adjOff(1) + 63) == 126)
+    assert(g.halfEdgeMatches(g.adjOff(0) + 63, PathStep("r63"), 63))
+    assert(g.halfEdgeMatches(g.adjOff(1) + 63, PathStep("r63", reversed = true), 63))
+    val e = intercept[IllegalArgumentException](build(65))
+    assert(e.getMessage.contains("65 edge types"), e.getMessage)
+  }
+
   test("generated graph CSR is consistent") {
     val lg = TestGraphs.dblpSmallLocal
     assert(lg.adjOff(lg.numNodes) == 2 * lg.numEdges)

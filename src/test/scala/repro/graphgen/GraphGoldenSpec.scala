@@ -39,7 +39,7 @@ class GraphGoldenSpec extends SparkSpec {
     long(g.ids.length.toLong); g.ids.foreach(long)
     strs(g.ntypes); ints(g.ntypeOf)
     strs(g.etypes); ints(g.edgeSrc); ints(g.edgeDst); ints(g.etypeOf)
-    ints(g.adjOff); ints(g.adjNbr); ints(g.adjEdge); ints(g.adjFwd.map(b => if (b) 1 else 0))
+    ints(g.adjOff); ints(g.adjNbr); ints(g.adjEdge); ints(Array.tabulate(g.adjNbr.length)(h => if (g.adjFwd(h)) 1 else 0))
     cells(g.nodeCols.names, g.numNodes, g.nodeCols.row)
     cells(g.edgeCols.names, g.numEdges, g.edgeCols.row)
     md.digest().take(8).map(b => f"$b%02x").mkString

@@ -8,10 +8,23 @@ import SamplerUtil._
 
 /** Slow references for the samplers whose fast paths must return the same
   * samples and leave the RNG in the same state: the one-sided BFS
-  * ShortestPathS, and the SBS/FFS expansion with a boxed queue, a fresh
-  * buffer and hash set per dequeued node, and `Random.shuffle`.
+  * ShortestPathS, the SBS/FFS expansion with a boxed queue, a fresh
+  * buffer and hash set per dequeued node, and `Random.shuffle`, and the
+  * partial Fisher-Yates shuffle of RNS and RES over a whole identity array.
   */
 object ReferenceSamplers {
+
+  /** [[SamplerUtil.partialShuffle]] on a dense array: the first k places of
+    * a Fisher-Yates shuffle of 0 until n, one `nextInt` per place.
+    */
+  def partialShuffle(n: Int, k: Int, rng: Random): Array[Int] = {
+    val idx = Array.range(0, n)
+    for (i <- 0 until k) {
+      val j = i + rng.nextInt(n - i)
+      val t = idx(i); idx(i) = idx(j); idx(j) = t
+    }
+    idx.take(k)
+  }
 
   /** ShortestPathS: for each (s, t) pair, a one-sided BFS from s (FIFO, CSR
     * order, parent set on discovery) that stops when it discovers t; the

@@ -89,6 +89,16 @@ class SamplerBasicsSpec extends SparkSpec {
     assert(out.edgeIdx.get.length == lg.numEdges)
   }
 
+  test("partialShuffle draws what the dense shuffle draws, with the same nextInt calls") {
+    val sizes = Seq(1 -> 0, 1 -> 1, 2 -> 2, 5 -> 0, 5 -> 5, 64 -> 1, 100 -> 37, 1000 -> 999, 1000 -> 1000, 100000 -> 200)
+    for ((n, k) <- sizes ++ (1 to 40).map(i => (i * 7, (i * 13) % (i * 7 + 1))); seed <- 1L to 5L) {
+      val (a, b) = (new Random(seed), new Random(seed))
+      val got = SamplerUtil.partialShuffle(n, k, a)
+      assert(got.sameElements(ReferenceSamplers.partialShuffle(n, k, b)), s"n = $n, k = $k, seed $seed")
+      assert(a.nextLong() == b.nextLong(), s"RNG state after n = $n, k = $k, seed $seed")
+    }
+  }
+
   test("walk samplers work from every start on the tiny graph") {
     val tiny = TestGraphs.tinyLocal
     for (s <- allSamplers) {
