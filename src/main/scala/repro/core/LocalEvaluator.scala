@@ -81,12 +81,13 @@ object Values {
   *
   * Cost: one adjacency is built per call, over S's nodes, or over all of V
   * for H(G) (§7 of DESIGN.md): one bit test per scanned half-edge, and a
-  * read of its step code only behind a usable head. Two-step paths, every path hypothesis of the
-  * catalog, are counted per middle node in O(entries of that adjacency),
-  * whatever their number, and their values come as (value, multiplicity)
-  * pairs. Paths of other lengths are enumerated by a typed DFS, a few ns per
-  * path, one value each in the order of a full scan: start nodes in
-  * increasing index order, half-edges in CSR order, on G and on S alike.
+  * read of its step code only behind a usable head. Two-step paths, every
+  * path hypothesis of the catalog, are counted per middle node in
+  * O(entries of that adjacency), whatever their number, and their values
+  * come as (value, multiplicity) pairs. Paths of other lengths are
+  * enumerated by a typed DFS, a few ns per path, one value each in the
+  * order of a full scan: start nodes in increasing index order, half-edges
+  * in CSR order, on G and on S alike.
   * `Framework.runOnce` hands the Avg estimate to the t-test as its mean, so
   * the t-test makes one pass over the pairs.
   */
