@@ -29,17 +29,6 @@ final case class AttributedGraph(nodes: DataFrame, edges: DataFrame,
   require(Seq("src", "dst", "etype").forall(edges.columns.contains(_)),
     s"edges needs src/dst/etype columns, got ${edges.columns.mkString(",")}")
 
-  def numNodes: Long = nodes.count()
-  def numEdges: Long = edges.count()
-
-  /** Directed density |E| / (|V| * (|V|-1)), as reported in paper Table 1. */
-  def density: Double = {
-    val v = numNodes.toDouble
-    if (v <= 1) 0.0 else numEdges.toDouble / (v * (v - 1))
-  }
-
-  def nodeTypes: Seq[String] =
-    nodes.select("ntype").distinct().collect().map(_.getString(0)).toSeq.sorted
   def edgeTypes: Seq[String] =
     edges.select("etype").distinct().collect().map(_.getString(0)).toSeq.sorted
 

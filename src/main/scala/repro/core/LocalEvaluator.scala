@@ -84,10 +84,10 @@ object Values {
   * read of its step code only behind a usable head. Two-step paths, every
   * path hypothesis of the catalog, are counted per middle node in
   * O(entries of that adjacency), whatever their number, and their values
-  * come as (value, multiplicity) pairs. Paths of other lengths are
-  * enumerated by a typed DFS, a few ns per path, one value each in the
-  * order of a full scan: start nodes in increasing index order, half-edges
-  * in CSR order, on G and on S alike.
+  * come as (value, multiplicity) pairs. Node, edge and longer paths
+  * (`Catalog.dblpLongPaths`) are enumerated by a plain typed DFS, one value
+  * each in the order of a full scan: start nodes in increasing index order,
+  * half-edges in CSR order, on G and on S alike.
   * `Framework.runOnce` hands the Avg estimate to the t-test as its mean, so
   * the t-test makes one pass over the pairs.
   */
@@ -129,7 +129,8 @@ object LocalEvaluator {
   *    node that satisfies M_2. Only rows that satisfy M_1, the middle
   *    nodes, get entries.
   *  - other lengths, enumerated ([[Dfs]]): bit p is step p, p < l, from a
-  *    row that satisfies M_p to a node that satisfies M_{p+1}.
+  *    row that satisfies M_p to a node that satisfies M_{p+1}. The DFS
+  *    starts at every row, so only bit 0's tail test keeps it to M_0.
   */
 private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int],
     sample: Option[SampledGraph]) {
@@ -295,80 +296,31 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
     (values, paths)
   }
 
-  /** The DFS for l ≠ 2, from every start row in order: positions 0 to l−2
-    * recurse, and the last step is one flat loop. A per-row flag marks the
-    * rows on the chain, so paths stay simple.
+  /** The DFS for l ≠ 2, from every row in order (at l = 0, each row in M_0
+    * is a path): positions 0 to l−2 recurse, the last step is one flat
+    * loop, and a per-row flag marks the chain, so paths stay simple. Each
+    * path's value is read off the target column into a doubling buffer.
     */
   private final class Dfs {
-    // walk(p)(r): the walks (simple or not) of steps p to l-1 from row r, at
-    // most 2^24. A row or entry with no walk beyond it is on no path, and
-    // the walks from the start rows, no fewer than the paths, size `values`.
-    private val walk = walks()
-    // The numeric target of each row (node target) or entry (edge target) on
-    // some path, where `has` is set; a unit target is slot 0, 1.0.
-    private val slots = if (nodePos >= 0) rows else if (edgeStep >= 0) off(rows) else 1
-    private val target = new Array[Double](slots)
-    private val has = new Array[Boolean](slots)
-    locally {
-      // Slot k takes the column's value at row i, if there is one.
-      def fill(k: Int, i: Int): Unit = if (column.present.get(i)) { target(k) = column.values(i); has(k) = true }
-      var k = 0
-      while (k < slots) {
-        if (unit) { target(k) = 1.0; has(k) = true }
-        else if (column == null) ()
-        else if (nodePos >= 0) { if (walk(nodePos)(k) > 0) fill(k, nodes(k)) }
-        else if ((usable(k) & 1 << edgeStep) != 0 && walk(edgeStep + 1)(next(k)) > 0) fill(k, g.adjEdge(halves(k)))
-        k += 1
-      }
-    }
     private val chainRow = new Array[Int](l + 1)
-    private val chainEntry = new Array[Int](math.max(l, 1))
+    private val chainEntry = new Array[Int](l)
     private val onChain = new Array[Boolean](rows)
-    private var values = {
-      var n = 0L; var r = 0; while (r < rows) { n += walk(0)(r); r += 1 }
-      new Array[Double](math.min(n, 1L << 24).toInt)
-    }
+    // Room for every path at l ≤ 1, one per row or per entry; doubled past it.
+    private var values = new Array[Double](math.max(16, if (l == 0) rows else off(rows)))
     private var nValues = 0
     private var nPaths = 0L
-
-    private def walks(): Array[Array[Long]] = {
-      val w = Array.fill(l + 1)(new Array[Long](rows))
-      var p = l
-      var r = 0
-      while (r < rows) { if (masks(l)(nodes(r))) w(l)(r) = 1; r += 1 }
-      while (p > 0) {
-        p -= 1; r = 0
-        while (r < rows) {
-          var k = off(r)
-          while (k < off(r + 1)) { if ((usable(k) & 1 << p) != 0) w(p)(r) = math.min(1L << 24, w(p)(r) + w(p + 1)(next(k))); k += 1 }
-          r += 1
-        }
-      }
-      w
-    }
 
     def run(): (Values, Long) = {
       var r = 0
       while (r < rows) {
-        if (walk(0)(r) > 0) {
-          chainRow(0) = r
-          onChain(r) = true
-          if (l > 0) dfs(0)
-          else { // l = 0: the start node alone is the path
-            val t = if (nodePos == 0) r else 0
-            nPaths += 1
-            if (has(t)) { grow(1); values(nValues) = target(t); nValues += 1 }
-          }
-          onChain(r) = false
-        }
+        chainRow(0) = r
+        onChain(r) = true
+        if (l > 0) dfs(0) else if (masks(0)(nodes(r))) { nPaths += 1; take(nodes(r)) }
+        onChain(r) = false
         r += 1
       }
-      (Values(if (nValues == values.length) values else java.util.Arrays.copyOf(values, nValues)), nPaths)
+      (Values(java.util.Arrays.copyOf(values, nValues)), nPaths)
     }
-
-    /** Room for `extra` more values; needed only past 2^24 walks. */
-    private def grow(extra: Int): Unit =
-      if (values.length - nValues < extra) values = java.util.Arrays.copyOf(values, math.max(2 * values.length, nValues + extra))
 
     private def dfs(pos: Int): Unit =
       if (pos == l - 1) lastStep()
@@ -386,36 +338,35 @@ private final class Extraction(g: LocalGraph, h: Hypothesis, stepType: Array[Int
       }
 
     /** Step l-1, one flat loop: each entry of the chain's last row that
-      * realizes it and leads off the chain completes a path, whose target is
-      * the head's row, the entry, or fixed by the chain so far.
+      * realizes it and leads off the chain completes a path, whose target
+      * is the head's node, the entry's edge, or fixed by the chain.
       */
     private def lastStep(): Unit = {
       val bit = 1 << (l - 1)
-      val perRow = nodePos == l
-      val perEntry = edgeStep == l - 1
-      val fixed = if (nodePos >= 0 && !perRow) chainRow(nodePos) else if (edgeStep >= 0 && !perEntry) chainEntry(edgeStep) else 0
+      val fixed =
+        if (nodePos >= 0 && nodePos < l) nodes(chainRow(nodePos))
+        else if (edgeStep >= 0 && edgeStep < l - 1) g.adjEdge(halves(chainEntry(edgeStep))) else -1
       var k = off(chainRow(l - 1))
       val last = off(chainRow(l - 1) + 1)
-      grow(last - k)
-      val vs = values
-      val ns = next
-      val us = usable
-      val on = onChain
-      val hs = has
-      val ts = target
-      var at = nValues
-      var np = nPaths
       while (k < last) {
-        val r = ns(k)
-        if ((us(k) & bit) != 0 && !on(r)) {
-          np += 1
-          val t = if (perRow) r else if (perEntry) k else fixed
-          if (hs(t)) { vs(at) = ts(t); at += 1 }
+        val r = next(k)
+        if ((usable(k) & bit) != 0 && !onChain(r)) {
+          nPaths += 1
+          take(if (nodePos == l) nodes(r) else if (edgeStep == l - 1) g.adjEdge(halves(k)) else fixed)
         }
         k += 1
       }
-      nValues = at
-      nPaths = np
+    }
+
+    /** A path's value: 1.0 for a unit target, else cell `i` of the target
+      * column, if it has one.
+      */
+    private def take(i: Int): Unit =
+      if (unit) add(1.0) else if (column != null && column.present.get(i)) add(column.values(i))
+
+    private def add(v: Double): Unit = {
+      if (nValues == values.length) values = java.util.Arrays.copyOf(values, 2 * nValues)
+      values(nValues) = v; nValues += 1
     }
   }
 }

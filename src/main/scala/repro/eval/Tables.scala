@@ -65,10 +65,16 @@ object Tables {
       density: Double, nodeTypes: Int, edgeTypes: Int)
 
   def table1(spark: SparkSession, cfg: Config): Seq[DatasetStats] =
-    datasets(spark, cfg).map { case (name, g) =>
-      DatasetStats(name, g.numNodes, g.numEdges, g.density,
-        g.nodeTypes.size, g.edgeTypes.size)
-    }
+    datasets(spark, cfg).map { case (name, g) => datasetStats(name, LocalGraph.fromAttributed(g)) }
+
+  /** |V|, |E|, the directed density |E| / (|V| (|V|-1)) and the node and
+    * edge types that occur, read off the graph's CSR.
+    */
+  def datasetStats(name: String, g: LocalGraph): DatasetStats = {
+    val v = g.numNodes.toDouble
+    DatasetStats(name, g.numNodes, g.numEdges, if (v <= 1) 0.0 else g.numEdges / (v * (v - 1)),
+      g.ntypeOf.distinct.length, g.etypeOf.distinct.length)
+  }
 
   def renderTable1(rows: Seq[DatasetStats]): String = {
     val sb = new StringBuilder

@@ -23,8 +23,9 @@ final case class DegreeBasedSampler() extends Sampler {
     val b = math.min(budget, g.numNodes)
     val picked = new NodeBudget(b)
     // Rejection sampling against the degree distribution: draw a half-edge
-    // endpoint uniformly (∝ degree), skip repeats. Falls back to uniform
-    // fill if rejections dominate (tiny graphs with b close to n).
+    // endpoint uniformly (∝ degree), skip repeats. If the draws run out
+    // first (tiny graphs with b close to n), the unpicked nodes fill the
+    // rest in index order.
     val halfEdges = g.adjNbr.length
     var attempts = 0
     val maxAttempts = math.max(1000, 50 * b)

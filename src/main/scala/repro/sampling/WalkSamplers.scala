@@ -52,9 +52,9 @@ final case class SimpleRandomWalk() extends Sampler {
     RestartWalk.sample(g, budget, rng)(_ => ())(v => uniformNeighbor(g, v, rng))
 }
 
-/** Non-Backtracking Random Walk (NBRW) [Lee et al. 2012]: like SRW but never
-  * returns to the immediately previous node when the current node has any
-  * other neighbor.
+/** Non-Backtracking Random Walk (NBRW) [Lee et al. 2012]: like SRW, but at
+  * a node of degree > 1 a step drawn back to the previous node is redrawn,
+  * at most 16 times; the last draw is taken even if it goes back.
   */
 final case class NonBacktrackingRandomWalk() extends Sampler {
   val name = "NBRW"
@@ -63,7 +63,7 @@ final case class NonBacktrackingRandomWalk() extends Sampler {
     RestartWalk.sample(g, budget, rng)(_ => prev = -1) { v =>
       val d = g.degree(v)
       var u = g.adjNbr(g.adjOff(v) + rng.nextInt(d))
-      // Redraw among the d-1 non-backtracking half-edges.
+      // Redraw among all d half-edges while the step goes back.
       var tries = 0
       while (u == prev && d > 1 && tries < 16) {
         u = g.adjNbr(g.adjOff(v) + rng.nextInt(d)); tries += 1

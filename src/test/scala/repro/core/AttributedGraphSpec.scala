@@ -9,29 +9,27 @@ class AttributedGraphSpec extends SparkSpec {
   private lazy val g = TestGraphs.tiny
 
   test("node and edge counts") {
-    assert(g.numNodes == 10)
-    assert(g.numEdges == 12)
+    assert(g.nodes.count() == 10)
+    assert(g.edges.count() == 12)
   }
   test("node types enumerated") {
-    assert(g.nodeTypes == Seq("author", "fos", "paper", "venue"))
+    assert(g.nodes.select("ntype").distinct().collect().map(_.getString(0)).toSeq.sorted ==
+      Seq("author", "fos", "paper", "venue"))
   }
   test("edge types enumerated") {
     assert(g.edgeTypes == Seq("Authorship", "Cites", "PublishedIn", "WithDomain"))
   }
-  test("density is |E| / (|V| (|V|-1))") {
-    assert(math.abs(g.density - 12.0 / (10 * 9)) < 1e-12)
-  }
   test("induced subgraph keeps only edges with both endpoints") {
     import spark.implicits._
     val sub = g.inducedSubgraph(Seq(1L, 11L, 2L).toDF("id"))
-    assert(sub.numNodes == 3)
+    assert(sub.nodes.count() == 3)
     // Only the two Authorship edges p1->a1, p1->a2 survive.
-    assert(sub.numEdges == 2)
+    assert(sub.edges.count() == 2)
     assert(sub.edges.select("etype").distinct().collect().map(_.getString(0)).toSeq == Seq("Authorship"))
   }
   test("induced subgraph on all nodes is identity") {
     val sub = g.inducedSubgraph(g.nodes.select("id"))
-    assert(sub.numNodes == g.numNodes && sub.numEdges == g.numEdges)
+    assert(sub.nodes.count() == 10 && sub.edges.count() == 12)
   }
   test("fromTuples types numeric attributes as double") {
     val schema = g.nodes.schema

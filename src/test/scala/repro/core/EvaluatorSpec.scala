@@ -114,6 +114,35 @@ class EvaluatorSpec extends SparkSpec {
     assert(r.nRelevant == 3)
     assert(r.estimate.contains(10.0))
   }
+  test("path: length-3 paths with narrow M_0 and M_1 equal the reference, bit for bit") {
+    // p4 (citation 10) cites p1 but satisfies no M_0, so no path starts at
+    // it; p1 → p2 → p3 → p1 and a1 ← p1 → p2 → a1 return to the chain at
+    // the last step, so they are not simple.
+    def p(id: Long, citation: Double) = (id, "paper", Map[String, Any]("citation" -> citation))
+    def cites(s: Long, d: Long, w: Double) = (s, d, "Cites", Map[String, Any]("weight" -> w))
+    def wrote(s: Long, d: Long, w: Double) = (s, d, "Authorship", Map[String, Any]("weight" -> w))
+    val g = LocalGraph.fromAttributed(TestGraphs.fromTuples(
+      Seq(p(1, 100), p(2, 80), p(3, 60), p(4, 10), p(5, 30),
+        (6L, "author", Map.empty[String, Any]), (7L, "author", Map.empty[String, Any])),
+      Seq(cites(1, 2, 0.5), cites(2, 3, 0.25), cites(3, 1, 0.75), cites(4, 1, 1.0), cites(2, 5, 2.0),
+        cites(5, 4, 3.0), cites(3, 4, 0.125), wrote(1, 6, 0.1), wrote(2, 6, 0.2), wrote(2, 7, 0.3),
+        wrote(3, 7, 0.4), wrote(4, 6, 0.5))))
+    val cited = Modifier("paper", Seq(AttrPred("citation", Gt, 50)))
+    val citesThrice = PathSpec(Vector(cited, cited, paper, paper), Vector.fill(3)(PathStep("Cites")))
+    val viaCites = PathSpec(Vector(anyAuthor, cited, paper, anyAuthor),
+      Vector(PathStep("Authorship", reversed = true), PathStep("Cites"), PathStep("Authorship")))
+    val targets = Seq(NodeAttrTarget(0, "citation"), NodeAttrTarget(1, "citation"), NodeAttrTarget(3, "citation"),
+      EdgeAttrTarget(0, "weight"), EdgeAttrTarget(2, "weight"), UnitTarget)
+    val sample = SampledGraph(Array(0, 1, 2, 3, 5, 6))  // all but p5
+    for (spec <- Seq(citesThrice, viaCites); t <- targets; s <- Seq(None, Some(sample))) {
+      val h = Hypothesis("p3", spec, t, if (t == UnitTarget) Agg.Count else Agg.Avg, Gt, 0)
+      val (got, n) = LocalEvaluator.extract(g, h, s)
+      val (want, wantN) = ReferenceExtract(g, h, s)
+      assert(wantN > 0 && n == wantN && java.util.Arrays.equals(ReferenceExtract.expand(got), want),
+        s"$t on ${s.map(_.nodeIdx.toSeq)}: ${ReferenceExtract.expand(got).toSeq} / $n paths, " +
+          s"reference ${want.toSeq} / $wantN")
+    }
+  }
 
   // ------------------------------------------------------------ aggregates
 

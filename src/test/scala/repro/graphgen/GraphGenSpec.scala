@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{Degrees, LocalGraph}
+import repro.eval.Tables
 
 /** Synthetic dataset generators: structure, determinism, planted signals. */
 class GraphGenSpec extends SparkSpec {
@@ -14,20 +15,24 @@ class GraphGenSpec extends SparkSpec {
 
   // ------------------------------------------------------------- structure
 
+  /** The node and edge types that occur in `g`, sorted. */
+  private def types(g: LocalGraph): (Seq[String], Seq[String]) =
+    (g.ntypeOf.distinct.map(g.ntypes).toSeq.sorted, g.etypeOf.distinct.map(g.etypes).toSeq.sorted)
+
   test("MovieLens has 2 node types and 1 edge type (Table 1 shape)") {
-    assert(ml.nodeTypes == Seq("movie", "user"))
-    assert(ml.edgeTypes == Seq("rates"))
+    assert(types(TestGraphs.mlSmallLocal) == (Seq("movie", "user"), Seq("rates")))
   }
   test("DBLP has 4 node types and 4 edge types (Table 1 shape)") {
-    assert(db.nodeTypes == Seq("author", "fos", "paper", "venue"))
-    assert(db.edgeTypes == Seq("Authorship", "Cites", "PublishedIn", "WithDomain"))
+    assert(types(TestGraphs.dblpSmallLocal) ==
+      (Seq("author", "fos", "paper", "venue"), Seq("Authorship", "Cites", "PublishedIn", "WithDomain")))
   }
   test("Yelp has 2 node types and 1 edge type (Table 1 shape)") {
-    assert(ye.nodeTypes == Seq("business", "user"))
-    assert(ye.edgeTypes == Seq("review"))
+    assert(types(TestGraphs.yelpSmallLocal) == (Seq("business", "user"), Seq("review")))
   }
   test("MovieLens is the densest dataset, as in Table 1") {
-    assert(ml.density > db.density && ml.density > ye.density)
+    val Seq(mld, dbd, yed) = Seq(TestGraphs.mlSmallLocal, TestGraphs.dblpSmallLocal, TestGraphs.yelpSmallLocal)
+      .map(Tables.datasetStats("", _).density)
+    assert(mld > dbd && mld > yed)
   }
   test("every node has at least one edge (§2.1 assumption)") {
     for ((name, g) <- Seq("ml" -> ml, "dblp" -> db, "yelp" -> ye)) {
@@ -37,7 +42,7 @@ class GraphGenSpec extends SparkSpec {
   }
   test("edges reference existing nodes") {
     // LocalGraph.fromAttributed throws if an endpoint is unknown.
-    assert(TestGraphs.dblpSmallLocal.numEdges == db.numEdges)
+    assert(TestGraphs.dblpSmallLocal.numEdges == db.edges.count())
   }
   test("DBLP edge types connect the right node types") {
     val lg = TestGraphs.dblpSmallLocal
@@ -61,7 +66,7 @@ class GraphGenSpec extends SparkSpec {
   test("generators are deterministic in (scale, seed)") {
     val a = GraphGen.dblp(spark, scale = 0.02, seed = 9)
     val b = GraphGen.dblp(spark, scale = 0.02, seed = 9)
-    assert(a.numNodes == b.numNodes && a.numEdges == b.numEdges)
+    assert(a.nodes.count() == b.nodes.count() && a.edges.count() == b.edges.count())
     val ca = a.nodes.agg(sum(hash(col("id"), col("ntype"), col("citation")))).collect()(0).getLong(0)
     val cb = b.nodes.agg(sum(hash(col("id"), col("ntype"), col("citation")))).collect()(0).getLong(0)
     assert(ca == cb)
@@ -75,7 +80,7 @@ class GraphGenSpec extends SparkSpec {
   }
   test("scale grows node and edge counts") {
     val s1 = GraphGen.movieLens(spark, scale = 0.02)
-    assert(ml.numNodes > s1.numNodes && ml.numEdges > s1.numEdges)
+    assert(ml.nodes.count() > s1.nodes.count() && ml.edges.count() > s1.edges.count())
   }
 
   // ------------------------------------------------------- attribute domains
@@ -139,8 +144,8 @@ class GraphGenSpec extends SparkSpec {
 
   test("bench-scale sizes are in the documented ballpark") {
     // Avoid regenerating bench scale here (slow); derive from small scale.
-    assert(db.numNodes > 1000 && db.numNodes < 3000)   // 32.5K * 0.05
-    assert(ye.numNodes > 800 && ye.numNodes < 2000)
+    assert(TestGraphs.dblpSmallLocal.numNodes > 1000 && TestGraphs.dblpSmallLocal.numNodes < 3000) // 32.5K * 0.05
+    assert(TestGraphs.yelpSmallLocal.numNodes > 800 && TestGraphs.yelpSmallLocal.numNodes < 2000)
   }
   test("Zipf sampler is skewed and in range") {
     val rng = new scala.util.Random(3)
