@@ -117,7 +117,9 @@ object LocalGraph {
     * `nodes.setType`, and directed edges between node indices, appended by
     * [[addEdge]]. Attributes go into the columns of `nodes` and `edges`.
     * `result` trims every array to |V| or |E| rows and lays out the CSR,
-    * its half-edges in edge order.
+    * its half-edges in edge order: in every row `adjEdge` never decreases,
+    * and a self-loop's two halves sit side by side (forward first).
+    * `ShortestPaths` finds a half-edge's twin by binary search on it.
     */
   final class Builder(ids: Array[Long]) {
     /** Nodes 0 to n-1, whose ids are their indices. */

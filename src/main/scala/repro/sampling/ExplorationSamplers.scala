@@ -121,13 +121,17 @@ final case class ShortestPathSampler() extends Sampler {
   * reaches t by the lexicographically first shortest path, comparing paths
   * by the CSR position of each step. The s-side here expands whole levels
   * the same way, so its parents are the one-sided BFS's; the t-side records
-  * each node's distance to t and always finishes a level. When the sides
-  * meet, with the s-side's last level a and the t-side's depth b, the path
-  * runs from s to the meeting node m, the first node of level a in queue
-  * order at distance b from t (by the parents), then to t, at each node by
-  * the first CSR neighbor one step closer to t. Each round expands the side
-  * whose frontier has fewer half-edges, which changes only the cost: two
-  * balls around s and t instead of one of radius d(s, t).
+  * each node's distance to t, level by level. When the sides meet, with the
+  * s-side's last level a and the t-side's depth b, the path runs from s to
+  * the meeting node m, the first node of level a in queue order at distance
+  * b from t (by the parents), then to t, at each node by the first CSR
+  * neighbor one step closer to t ([[firstToLevel]]). The t-side stops at
+  * the first node of level b the s-side has seen, and m is found as the
+  * first node of level a with a neighbor at t-level b − 1; only if that
+  * search would scan more half-edges than the rest of the t-level does the
+  * t-level finish first. Each round expands the side whose frontier has
+  * fewer half-edges, which changes only the cost: two balls around s and t
+  * instead of one of radius d(s, t).
   */
 private[sampling] final class ShortestPaths(g: LocalGraph) {
   private val sSeen = new Array[Int](g.numNodes) // epoch stamps, so no clears
@@ -136,6 +140,8 @@ private[sampling] final class ShortestPaths(g: LocalGraph) {
   private val tSeen = new Array[Int](g.numNodes)
   private val distT = new Array[Int](g.numNodes)
   private val tQueue = new Array[Int](g.numNodes)
+  private val levelAt = new Array[Int](g.numNodes + 1) // t-level k is tQueue[levelAt(k), levelAt(k + 1))
+  private val levelVol = new Array[Int](g.numNodes) // the half-edges of t-level k's rows
   private val hops = new Array[Int](g.numNodes) // m to t
   private var epoch = 0
 
@@ -149,10 +155,8 @@ private[sampling] final class ShortestPaths(g: LocalGraph) {
     hops(0) = m
     while (distT(hops(n)) > 0) {
       val v = hops(n)
-      var h = g.adjOff(v)
-      while (!(tSeen(g.adjNbr(h)) == epoch && distT(g.adjNbr(h)) == distT(v) - 1)) h += 1
       n += 1
-      hops(n) = g.adjNbr(h)
+      hops(n) = g.adjNbr(firstToLevel(v, distT(v) - 1))
     }
     while (n >= 0 && !picked.isFull) { picked.add(hops(n)); n -= 1 }
     var v = parent(m)
@@ -160,16 +164,60 @@ private[sampling] final class ShortestPaths(g: LocalGraph) {
     true
   }
 
+  /** The first half-edge of v's row, in CSR order, to a node at distance k
+    * from t, or -1; t-levels 0 to k must be complete. When level k's rows
+    * hold fewer half-edges than v's, they are scanned for the edges to v:
+    * `Builder.result` writes every row in edge order, so the answer is the
+    * twin, found by binary search on `adjEdge`, of the least such edge.
+    */
+  private def firstToLevel(v: Int, k: Int): Int = {
+    val lo = g.adjOff(v)
+    val hi = g.adjOff(v + 1)
+    if (levelVol(k) < hi - lo) {
+      var e = Int.MaxValue
+      var i = levelAt(k)
+      while (i < levelAt(k + 1)) {
+        val w = tQueue(i)
+        var h = g.adjOff(w)
+        while (h < g.adjOff(w + 1)) { if (g.adjNbr(h) == v && g.adjEdge(h) < e) e = g.adjEdge(h); h += 1 }
+        i += 1
+      }
+      if (e == Int.MaxValue) -1 else java.util.Arrays.binarySearch(g.adjEdge, lo, hi, e)
+    } else {
+      var h = lo
+      while (h < hi && !(tSeen(g.adjNbr(h)) == epoch && distT(g.adjNbr(h)) == k)) h += 1
+      if (h < hi) h else -1
+    }
+  }
+
+  /** The first node of `sQueue` from index `from` on with a neighbor at
+    * t-level b − 1, given distance b; -1 if the search would scan more than
+    * `budget` half-edges. One such node must lie ahead.
+    */
+  private def nextToLevel(from: Int, b: Int, budget: Int): Int = {
+    var j = from
+    var left = budget - math.min(g.degree(sQueue(j)), levelVol(b - 1))
+    while (left >= 0 && firstToLevel(sQueue(j), b - 1) < 0) {
+      j += 1
+      left -= math.min(g.degree(sQueue(j)), levelVol(b - 1))
+    }
+    if (left < 0) return -1
+    val m = sQueue(j)
+    tSeen(m) = epoch; distT(m) = b
+    m
+  }
+
   /** The meeting node m, or -1 if a side runs dry first. */
   private def meet(s: Int, t: Int): Int = {
     epoch += 1
     sSeen(s) = epoch; parent(s) = -1; sQueue(0) = s
     tSeen(t) = epoch; distT(t) = 0; tQueue(0) = t
+    levelAt(0) = 0; levelVol(0) = g.degree(t)
     var sLo = 0; var sHi = 1; var sVol = g.degree(s) // last level: sQueue[sLo, sHi)
-    var tLo = 0; var tHi = 1; var tVol = g.degree(t)
+    var tLo = 0; var tHi = 1 // last level: tQueue[tLo, tHi), levelVol(b)
     var b = 0
     while (sLo < sHi && tLo < tHi) {
-      if (sVol <= tVol) {
+      if (sVol <= levelVol(b)) {
         // Expand the s-side's last level. The first new node the t-side
         // has seen is m: it is at distance b from t.
         val end = sHi
@@ -191,12 +239,15 @@ private[sampling] final class ShortestPaths(g: LocalGraph) {
         }
         sLo = end
       } else {
-        // Expand the t-side's whole next level. A node on it that the
-        // s-side has seen is on the s-side's last level; m is the first
-        // node there that the t-side has seen.
+        // Expand the t-side's next level. A node on it that the s-side
+        // has seen is on the s-side's last level, whose first node at
+        // distance b is m. At the first such node, look for m while that
+        // costs no more than the rest of the level, else finish the level.
         val end = tHi
-        tVol = 0
         b += 1
+        levelAt(b) = end
+        var left = levelVol(b - 1) // half-edges of level b - 1 not yet scanned
+        var vol = 0
         var hit = false
         var i = tLo
         while (i < end) {
@@ -204,16 +255,22 @@ private[sampling] final class ShortestPaths(g: LocalGraph) {
           var h = g.adjOff(v)
           while (h < g.adjOff(v + 1)) {
             val u = g.adjNbr(h)
+            left -= 1
             if (tSeen(u) != epoch) {
               tSeen(u) = epoch; distT(u) = b
-              tQueue(tHi) = u; tHi += 1; tVol += g.degree(u)
-              if (sSeen(u) == epoch) hit = true
+              tQueue(tHi) = u; tHi += 1; vol += g.degree(u)
+              if (sSeen(u) == epoch && !hit) {
+                hit = true
+                val m = nextToLevel(sLo, b, left)
+                if (m >= 0) return m
+              }
             }
             h += 1
           }
           i += 1
         }
         tLo = end
+        levelVol(b) = vol
         if (hit) {
           var j = sLo
           while (tSeen(sQueue(j)) != epoch) j += 1

@@ -53,16 +53,19 @@ object SamplerUtil {
     g.adjNbr(g.adjOff(v) + rng.nextInt(d))
   }
 
-  /** Collector that accumulates distinct node indices up to a budget. */
+  /** Collector that accumulates distinct node indices up to a budget, in
+    * the order they are added: an unboxed array of the budget's size.
+    */
   final class NodeBudget(budget: Int) {
     private val seen = new java.util.BitSet()
-    private val order = new scala.collection.mutable.ArrayBuffer[Int](budget)
+    private val order = new Array[Int](budget)
+    private var n = 0
     def add(i: Int): Unit =
-      if (!seen.get(i) && order.length < budget) { seen.set(i); order += i }
+      if (!seen.get(i) && n < budget) { seen.set(i); order(n) = i; n += 1 }
     def contains(i: Int): Boolean = seen.get(i)
-    def isFull: Boolean = order.length >= budget
-    def size: Int = order.length
-    def toArray: Array[Int] = order.toArray
+    def isFull: Boolean = n >= budget
+    def size: Int = n
+    def toArray: Array[Int] = java.util.Arrays.copyOf(order, n)
   }
 
   /** Cap on total walk steps so trapped walkers cannot loop forever; on hit,

@@ -130,6 +130,26 @@ class LocalGraphSpec extends SparkSpec {
     }
   }
 
+  test("every row lists its half-edges in edge order, a self-loop's two halves side by side") {
+    import spark.implicits._
+    val collected = LocalGraph.fromAttributed(AttributedGraph(
+      Seq((1L, "a"), (2L, "a"), (3L, "b")).toDF("id", "ntype"),
+      Seq((1L, 2L, "r"), (3L, 3L, "r"), (2L, 1L, "s"), (1L, 2L, "r"), (1L, 1L, "s"), (3L, 1L, "r"))
+        .toDF("src", "dst", "etype")))
+    val graphs = Seq("MovieLens" -> TestGraphs.mlSmallLocal, "DBLP" -> TestGraphs.dblpSmallLocal,
+      "Yelp" -> TestGraphs.yelpSmallLocal, "collected" -> collected,
+      "multi-edges" -> TestGraphs.fromEdges(4, Seq((0, 1), (1, 0), (0, 1), (2, 2), (0, 2), (2, 2), (3, 0), (0, 0)))) ++
+      (1 to 3).map(s => s"hand-built $s" -> handBuilt(s))
+    for ((name, g) <- graphs; v <- 0 until g.numNodes; h <- g.adjOff(v) until g.adjOff(v + 1)) {
+      val e = g.adjEdge(h)
+      if (h > g.adjOff(v)) assert(g.adjEdge(h - 1) <= e, s"$name: node $v's row at $h")
+      if (g.edgeSrc(e) == v && g.edgeDst(e) == v)
+        assert((h > g.adjOff(v) && g.adjEdge(h - 1) == e) || (h + 1 < g.adjOff(v + 1) && g.adjEdge(h + 1) == e),
+          s"$name: self-loop $e at node $v")
+    }
+    assert(collected.numEdges == 6 && collected.degree(collected.indexOf(3L)) == 3)
+  }
+
   test("a graph may have 64 edge types, not 65") {
     def build(types: Int): LocalGraph = {
       val b = new LocalGraph.Builder(2)

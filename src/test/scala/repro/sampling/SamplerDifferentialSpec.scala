@@ -6,12 +6,13 @@ import org.scalacheck.Gen
 
 import repro.{PropSupport, SparkSpec, TestGraphs}
 import repro.core.{LocalGraph, SampledGraph, Sampler}
+import repro.graphgen.GraphGen
 
 /** ShortestPathS, SBS and FFS against the slow [[ReferenceSamplers]]: the
   * same S in the same order, and the RNG left in the same state, on random
   * graphs with multi-edges, self-loops, several components and edge-less
-  * nodes, on the `TestGraphs` graphs, and at budgets 1, 2, |V|/2, |V| and
-  * past |V|.
+  * nodes, on the `TestGraphs` graphs and a graph of hubs, on DBLP and Yelp
+  * at scale 1, and at budgets 1, 2, |V|/2, |V| and past |V|.
   */
 class SamplerDifferentialSpec extends SparkSpec with PropSupport {
 
@@ -67,8 +68,25 @@ class SamplerDifferentialSpec extends SparkSpec with PropSupport {
     }
   }
 
+  /** Two hubs, 0 and 9, each with eight leaves, a multi-edge to its first
+    * leaf and a self-loop, joined through node 18 and through 19–20; leaf
+    * 5 has a tail, 5–21–22, and leaf 12 a longer one, 12–23–24–25. Node 26
+    * reaches hub 0 and, first, node 27, whose other neighbor 28 has three
+    * leaves. Pairs put hubs on both sides of the meeting, so both ways of
+    * finding a hub's first neighbor one step closer to t run; the search
+    * for the meeting node runs past its bound on most pairs and ends
+    * within it on (26, 28).
+    */
+  private lazy val hubs: LocalGraph = TestGraphs.fromEdges(32,
+    (1 to 8).map((0, _)) ++ Seq((0, 1), (1, 0), (0, 0)) ++
+      (10 to 17).map((9, _)) ++ Seq((10, 9), (9, 10), (9, 9)) ++
+      Seq((0, 18), (18, 9), (0, 19), (19, 20), (20, 9), (18, 19)) ++
+      Seq((5, 21), (21, 22), (12, 23), (23, 24), (24, 25)) ++
+      Seq((26, 27), (26, 0), (27, 28), (28, 29), (28, 30), (28, 31)))
+
   test("ShortestPathS, SBS and FFS equal the references on the tiny graphs") {
-    for ((what, g) <- Seq("tiny" -> TestGraphs.tinyLocal, "tinyIsolated" -> TestGraphs.tinyIsolatedLocal);
+    for ((what, g) <- Seq("tiny" -> TestGraphs.tinyLocal, "tinyIsolated" -> TestGraphs.tinyIsolatedLocal,
+           "hubs" -> hubs);
          budget <- budgets(g); seed <- 1L to 50L)
       assertSame(g, budget, seed, what)
   }
@@ -81,5 +99,9 @@ class SamplerDifferentialSpec extends SparkSpec with PropSupport {
       for (budget <- budgets(g).drop(2); seed <- 1L to 2L)
         assertSame(g, budget, seed, what)
     }
+    // Scale 1 at the grid budgets, with its zipf-skewed hub rows.
+    for ((what, g, budget) <- Seq(("DBLP", GraphGen.dblp(spark, scale = 1.0), 812),
+           ("Yelp", GraphGen.yelp(spark, scale = 1.0), 500)); seed <- 1L to 5L)
+      assertSame(LocalGraph.fromAttributed(g), budget, seed, s"$what at scale 1")
   }
 }
