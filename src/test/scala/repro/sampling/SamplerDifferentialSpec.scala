@@ -71,18 +71,20 @@ class SamplerDifferentialSpec extends SparkSpec with PropSupport {
   /** Two hubs, 0 and 9, each with eight leaves, a multi-edge to its first
     * leaf and a self-loop, joined through node 18 and through 19–20; leaf
     * 5 has a tail, 5–21–22, and leaf 12 a longer one, 12–23–24–25. Node 26
-    * reaches hub 0 and, first, node 27, whose other neighbor 28 has three
-    * leaves. Pairs put hubs on both sides of the meeting, so both ways of
-    * finding a hub's first neighbor one step closer to t run; the search
-    * for the meeting node runs past its bound on most pairs and ends
-    * within it on (26, 28).
+    * reaches node 27 and then hub 0; node 28 reaches hub 0 first, then 27,
+    * and has three leaves. Node 32 reaches leaf 2, then leaf 1, which hub 0
+    * reaches first. Pairs put hubs on both sides of the meeting, so both
+    * ways of finding a hub's first neighbor one step closer to t run; the
+    * search for the meeting node runs past its bound on most pairs and ends
+    * within it on some, such as (26, 28), where it finds 27, a node the
+    * t-side has not seen.
     */
-  private lazy val hubs: LocalGraph = TestGraphs.fromEdges(32,
+  private lazy val hubs: LocalGraph = TestGraphs.fromEdges(33,
     (1 to 8).map((0, _)) ++ Seq((0, 1), (1, 0), (0, 0)) ++
       (10 to 17).map((9, _)) ++ Seq((10, 9), (9, 10), (9, 9)) ++
       Seq((0, 18), (18, 9), (0, 19), (19, 20), (20, 9), (18, 19)) ++
       Seq((5, 21), (21, 22), (12, 23), (23, 24), (24, 25)) ++
-      Seq((26, 27), (26, 0), (27, 28), (28, 29), (28, 30), (28, 31)))
+      Seq((26, 27), (26, 0), (28, 0), (27, 28), (28, 29), (28, 30), (28, 31), (32, 2), (32, 1)))
 
   test("ShortestPathS, SBS and FFS equal the references on the tiny graphs") {
     for ((what, g) <- Seq("tiny" -> TestGraphs.tinyLocal, "tinyIsolated" -> TestGraphs.tinyIsolatedLocal,
