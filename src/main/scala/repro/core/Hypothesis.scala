@@ -4,7 +4,9 @@ import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 
 /** Comparison operators used both in attribute predicates (modifiers) and in
-  * the hypothesis predicate `P_c^o` (paper §2.2, o ∈ {=, <>, >, <}).
+  * the hypothesis predicate `P_c^o`. The paper's four (§2.2, o ∈ {=, <>, >,
+  * <}) are `Eq`, `Ne`, `Gt` and `Lt`; `Ge` and `Le` are extensions that the
+  * catalog does not use.
   */
 sealed trait CmpOp {
   /** Evaluate the comparison on already-extracted values. Numeric pairs are

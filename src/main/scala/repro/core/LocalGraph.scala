@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Row
-import org.apache.spark.sql.types.{DoubleType, StringType, StructType}
-
 /** A compact driver-side mirror of an [[AttributedGraph]].
   *
   * Random-walk samplers (paper §3) are inherently sequential — one budget
@@ -172,52 +169,14 @@ object LocalGraph {
     }
   }
 
-  /** The driver-side graph of `g`: the one it carries, if
-    * [[AttributedGraph.fromLocal]] made it, else one collected from its
-    * DataFrames. Attribute columns are all columns other than the
-    * structural ones, and must be double or string columns; a null cell is
-    * an absent attribute.
+  /** The driver-side graph that `g` carries, which
+    * [[AttributedGraph.fromLocal]] gave it. A graph made from DataFrames
+    * alone carries none and is rejected: the program builds every graph it
+    * reads, and only the tests' reference collector `ReferenceCollect`
+    * collects one.
     */
-  def fromAttributed(g: AttributedGraph): LocalGraph = g.local.getOrElse(collect(g))
-
-  private def collect(g: AttributedGraph): LocalGraph = {
-    val (ns, es) = (g.nodes.schema, g.edges.schema)
-    val nodeRows = g.nodes.collect()
-    val ids = nodeRows.map(_.getLong(ns.fieldIndex("id")))
-    val b = new Builder(ids)
-    val nodeCells = cells(b.nodes, ns, Set("id", "ntype"))
-    val t = ns.fieldIndex("ntype")
-    for (i <- nodeRows.indices) {
-      b.nodes.setType(i, b.nodes.typeCode(nodeRows(i).getString(t)))
-      nodeCells(i, nodeRows(i))
-    }
-    val edgeCells = cells(b.edges, es, Set("src", "dst", "etype"))
-    val (s, d, et) = (es.fieldIndex("src"), es.fieldIndex("dst"), es.fieldIndex("etype"))
-    val idToIdx = idIndex(ids)
-    for (r <- g.edges.collect()) {
-      val (u, v) = (idToIdx(r.getLong(s)), idToIdx(r.getLong(d)))
-      require(u >= 0 && v >= 0, s"edge references unknown node: ${r.getLong(s)} -> ${r.getLong(d)}")
-      edgeCells(b.addEdge(u, v, b.edges.typeCode(r.getString(et))), r)
-    }
-    b.result()
-  }
-
-  /** Writes row i's attribute cells into the columns of `table`: every
-    * field of `schema` but the `structural` ones, by index. A null cell is
-    * left unwritten.
-    */
-  private def cells(table: TableBuilder, schema: StructType, structural: Set[String]): (Int, Row) => Unit = {
-    val writers = schema.fields.indices.filterNot(j => structural(schema(j).name)).map[(Int, Row) => Unit] { j =>
-      val f = schema(j)
-      f.dataType match {
-        case DoubleType => val c = table.num(f.name); (i, r) => if (!r.isNullAt(j)) c(i) = r.getDouble(j)
-        case StringType => val c = table.str(f.name); (i, r) => if (!r.isNullAt(j)) c(i) = r.getString(j)
-        case other => throw new IllegalArgumentException(
-          s"attribute column \"${f.name}\" has type ${other.simpleString}; only double and string are supported")
-      }
-    }
-    (i, r) => writers.foreach(_(i, r))
-  }
+  def fromAttributed(g: AttributedGraph): LocalGraph = g.local.getOrElse(throw new IllegalArgumentException(
+    "a graph made from DataFrames carries no LocalGraph; the test reference ReferenceCollect collects one"))
 }
 
 /** A sampled graph S: a set of node indices plus, for edge samplers, the

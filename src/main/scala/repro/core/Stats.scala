@@ -2,10 +2,18 @@ package repro.core
 
 /** Self-contained statistics for the hypothesis-testing step (framework
   * Figure 2: "acceptance or rejection result, p-value, and confidence
-  * interval"). No external math library is available offline, so the
-  * Student-t machinery (log-gamma, regularized incomplete beta by continued
-  * fraction, CDF inversion by safeguarded Newton steps) is implemented here
-  * and verified against known quantiles in `StatsSpec`.
+  * interval"). The Student-t machinery (log-gamma, regularized incomplete
+  * beta by continued fraction, CDF inversion by safeguarded Newton steps) is
+  * implemented here and verified against known quantiles in `StatsSpec`.
+  *
+  * Spark ships commons-math3 3.6.1, so its `TDistribution` is on the
+  * classpath too; it is not used because it is slower where every Avg
+  * operation runs one t-test. On a 4-core Xeon (one JVM, the variants timed
+  * interleaved over df 1–3000, after a warm-up round), a CDF plus a 0.975
+  * quantile took 6–8 µs here against 20–24 µs there, a difference of about
+  * 2% of a `grid` operation's median; the library's `Beta` and `Gamma` under
+  * these Newton steps took 14–16 µs. The two implementations agree within
+  * 1e-9 on the CDF and 1e-8 on the quantile for df up to 1e7.
   */
 object Stats {
 

@@ -2,6 +2,8 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.graphgen.GraphGen
+import repro.hypotheses.Catalog
+import repro.sampling.PhaseOptSampler
 
 /** DataFrame-backed attributed graph model. */
 class AttributedGraphSpec extends SparkSpec {
@@ -54,6 +56,16 @@ class AttributedGraphSpec extends SparkSpec {
     val cols = dropped()
     (0 until 3).foreach(_ => System.gc())
     assert(cols.get == null)
+  }
+  test("a generated graph needs no Spark until one of its tables is read") {
+    // Without a session: the pipeline reads only the graph the result carries.
+    val ag = GraphGen.yelp(null, 0.02)
+    val g = LocalGraph.fromAttributed(ag)
+    val h = Catalog.yelp.path.head
+    assert(Framework.groundTruth(g, h).estimate.isDefined)
+    val out = Framework.runOnce(g, h, PhaseOptSampler(h), g.numNodes / 10, new scala.util.Random(3))
+    assert(out.sampledNodes > 0)
+    intercept[NullPointerException](ag.nodes)
   }
   test("constructor validates required columns") {
     intercept[IllegalArgumentException] {

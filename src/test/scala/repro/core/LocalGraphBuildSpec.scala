@@ -6,7 +6,8 @@ import repro.{SparkSpec, TestGraphs}
 import repro.hypotheses.Catalog
 
 /** The graph a generator or `TestGraphs.fromTuples` fills, against the
-  * reference that collects the same graph back from its DataFrames.
+  * reference that collects the same graph back from its DataFrames
+  * ([[ReferenceCollect]]).
   */
 class LocalGraphBuildSpec extends SparkSpec {
 
@@ -32,13 +33,15 @@ class LocalGraphBuildSpec extends SparkSpec {
     for ((name, (ag, _)) <- graphs)
       assert(LocalGraph.fromAttributed(ag) eq LocalGraph.fromAttributed(ag), name)
     val ag = TestGraphs.tiny
-    assert(!(LocalGraph.fromAttributed(AttributedGraph(ag.nodes, ag.edges)) eq LocalGraph.fromAttributed(ag)))
+    assert(!(ReferenceCollect(AttributedGraph(ag.nodes, ag.edges)) eq LocalGraph.fromAttributed(ag)))
+    val e = intercept[IllegalArgumentException](LocalGraph.fromAttributed(AttributedGraph(ag.nodes, ag.edges)))
+    assert(e.getMessage.contains("ReferenceCollect"), e.getMessage)
   }
 
   test("the carried graph equals the graph collected from its DataFrames") {
     for ((name, (ag, _)) <- graphs) {
       val g = LocalGraph.fromAttributed(ag)
-      val ref = LocalGraph.fromAttributed(AttributedGraph(ag.nodes, ag.edges))
+      val ref = ReferenceCollect(AttributedGraph(ag.nodes, ag.edges))
       def same[A](what: String, a: Array[A], b: Array[A]): Unit =
         assert(a.sameElements(b), s"$name: $what differs")
       same("ids", g.ids, ref.ids)
@@ -62,7 +65,7 @@ class LocalGraphBuildSpec extends SparkSpec {
   test("every kept array has exactly |V| or |E| cells, and no presence bit past the last row") {
     for ((name, (ag, _)) <- graphs;
          (how, g) <- Seq("carried" -> LocalGraph.fromAttributed(ag),
-           "collected" -> LocalGraph.fromAttributed(AttributedGraph(ag.nodes, ag.edges)))) {
+           "collected" -> ReferenceCollect(AttributedGraph(ag.nodes, ag.edges)))) {
       val what = s"$name ($how)"
       assert(g.ntypeOf.length == g.numNodes, what)
       assert(g.edgeDst.length == g.numEdges && g.etypeOf.length == g.numEdges, what)

@@ -79,7 +79,7 @@ class LocalGraphSpec extends SparkSpec {
     val papers = PathSpec(Vector(Modifier("paper")), Vector.empty)
     assert(g.labels(papers)(0) eq lab(1))
     val tiny = TestGraphs.tiny
-    val other = LocalGraph.fromAttributed(AttributedGraph(tiny.nodes, tiny.edges)).labels(papers)(0)
+    val other = ReferenceCollect(AttributedGraph(tiny.nodes, tiny.edges)).labels(papers)(0)
     assert(!(other eq lab(1)) && other.sameElements(lab(1)))
   }
   test("halfEdgeMatches respects type and direction") {
@@ -132,7 +132,7 @@ class LocalGraphSpec extends SparkSpec {
 
   test("every row lists its half-edges in edge order, a self-loop's two halves side by side") {
     import spark.implicits._
-    val collected = LocalGraph.fromAttributed(AttributedGraph(
+    val collected = ReferenceCollect(AttributedGraph(
       Seq((1L, "a"), (2L, "a"), (3L, "b")).toDF("id", "ntype"),
       Seq((1L, 2L, "r"), (3L, 3L, "r"), (2L, 1L, "s"), (1L, 2L, "r"), (1L, 1L, "s"), (3L, 1L, "r"))
         .toDF("src", "dst", "etype")))
@@ -183,11 +183,11 @@ class LocalGraphSpec extends SparkSpec {
     val nodes = Seq((1L, "a", 5), (2L, "a", 6)).toDF("id", "ntype", "rank")
     val edges = Seq((1L, 2L, "r", 7L)).toDF("src", "dst", "etype", "count")
     val onNodes = intercept[IllegalArgumentException] {
-      LocalGraph.fromAttributed(AttributedGraph(nodes, edges.drop("count")))
+      ReferenceCollect(AttributedGraph(nodes, edges.drop("count")))
     }
     assert(onNodes.getMessage.contains("\"rank\""), onNodes.getMessage)
     val onEdges = intercept[IllegalArgumentException] {
-      LocalGraph.fromAttributed(AttributedGraph(nodes.drop("rank"), edges))
+      ReferenceCollect(AttributedGraph(nodes.drop("rank"), edges))
     }
     assert(onEdges.getMessage.contains("\"count\""), onEdges.getMessage)
   }
